@@ -12,8 +12,8 @@ from .prep import (NormStats, SampleTensor, build_tensor, filter_outliers,
                    fit_normalizer, normalize, read_tensors, resample_channel,
                    select_end_time, write_tensors)
 from .training import (Ensemble, FoldPlan, HyperParams, TrainResult,
-                       ensemble_predict, ensemble_scores, fit_ensemble,
-                       grid_search, make_folds, stratified_split, train_one)
+                       ensemble_predict, ensemble_scores, grid_search,
+                       make_folds, stratified_split, train_one)
 
 __all__ = [
     "CohortConfig", "PatientSeries", "generate_cohort", "read_cohort", "write_cohort",
@@ -25,6 +25,6 @@ __all__ = [
     "fit_normalizer", "normalize", "read_tensors", "resample_channel",
     "select_end_time", "write_tensors",
     "Ensemble", "FoldPlan", "HyperParams", "TrainResult", "ensemble_predict",
-    "ensemble_scores", "fit_ensemble", "grid_search", "make_folds",
+    "ensemble_scores", "grid_search", "make_folds",
     "stratified_split", "train_one",
 ]

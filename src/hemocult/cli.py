@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,11 @@ from .errors import (CheckpointError, ConfigError, ContractViolationError,
 from .lstm import load_params, save_params
 from .metrics import (EvalReport, baseline_constant, baseline_proportional,
                       export_curve, export_curve_svg, pr_curve)
-from .prep import (build_tensor, filter_outliers, fit_normalizer, read_stats,
+from .prep import (build_tensor, filter_outliers, fit_normalizer,
                    read_tensors, write_stats, write_tensors)
 from .training import (GRID_HIDDEN, GRID_LR, Ensemble, HyperParams,
                        ensemble_scores, grid_search, make_folds,
-                       stratified_split, train_cell)
+                       stratified_split)
 
 SPLIT_SEED_OFFSET = 1_000_003
 BASELINE2_SEED_OFFSET = 2_000_003
@@ -43,9 +43,10 @@ FOLDS_SEED_OFFSET = 3_000_017
 
 SPLIT_MAGIC = "#hemocult-split v1"
 
+# --quick settings, keyed by CohortConfig/HyperParams field
 QUICK_PROFILE = {
-    "n": 300, "positives": 40, "horizon": (12.0, 48.0),
-    "hidden": 10, "lr": 0.01, "max_epochs": 20,
+    "n_admissions": 300, "n_positive": 40, "horizon_hours": (12.0, 48.0),
+    "hidden_size": 10, "learning_rate": 0.01, "max_epochs": 20,
 }
 
 _EXIT_CODES = (
@@ -64,12 +65,12 @@ def _parse_horizon(text: str):
     return float(match.group(1)), float(match.group(2))
 
 
-def _parse_float_list(text: str):
-    return tuple(float(tok) for tok in text.split(",") if tok)
-
-
-def _parse_int_list(text: str):
-    return tuple(int(tok) for tok in text.split(",") if tok)
+def _parse_list(text: str, kind, flag: str):
+    try:
+        return tuple(kind(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma list of {kind.__name__} values, "
+                          f"got {text!r}") from None
 
 
 def write_split(path, ids, partitions):
@@ -108,54 +109,20 @@ def _write_manifest(run_dir: Path):
             fh.write(f"{_sha256(path)}  {path.name}\n")
 
 
-def _cohort_config_from(args) -> CohortConfig:
-    config = CohortConfig()
+def _configured(cls, args):
+    """cls defaults, then the --quick profile, then every flag whose dest is a field."""
+    names = [f.name for f in fields(cls)]
+    values = {}
     if getattr(args, "quick", False):
-        config = replace(config,
-                         n_admissions=QUICK_PROFILE["n"],
-                         n_positive=QUICK_PROFILE["positives"],
-                         horizon_hours=QUICK_PROFILE["horizon"])
-    overrides = {}
-    if args.n is not None:
-        overrides["n_admissions"] = args.n
-    if args.positives is not None:
-        overrides["n_positive"] = args.positives
-    if args.outlier_rate is not None:
-        overrides["outlier_rate"] = args.outlier_rate
-    if args.signal_strength is not None:
-        overrides["signal_strength"] = args.signal_strength
-    if args.horizon is not None:
-        overrides["horizon_hours"] = _parse_horizon(args.horizon)
-    config = replace(config, seed=args.seed, **overrides)
+        values.update((k, v) for k, v in QUICK_PROFILE.items() if k in names)
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None:
+            # parsed here, not by an argparse type=, so its ConfigError maps to exit 2
+            values[name] = _parse_horizon(value) if name == "horizon_hours" else value
+    config = cls(**values)
     config.validate()
     return config
-
-
-def _hyper_from(args, quick: bool) -> HyperParams:
-    hyper = HyperParams(seed=args.seed)
-    if quick:
-        hyper = replace(hyper,
-                        hidden_size=QUICK_PROFILE["hidden"],
-                        learning_rate=QUICK_PROFILE["lr"],
-                        max_epochs=QUICK_PROFILE["max_epochs"])
-    overrides = {}
-    if getattr(args, "hidden", None) is not None:
-        overrides["hidden_size"] = args.hidden
-    if getattr(args, "lr", None) is not None:
-        overrides["learning_rate"] = args.lr
-    if getattr(args, "max_epochs", None) is not None:
-        overrides["max_epochs"] = args.max_epochs
-    if getattr(args, "batch_size", None) is not None:
-        overrides["batch_size"] = args.batch_size
-    if getattr(args, "patience", None) is not None:
-        overrides["patience"] = args.patience
-    if getattr(args, "w_pos", None) is not None:
-        overrides["w_pos"] = args.w_pos
-    if getattr(args, "w_neg", None) is not None:
-        overrides["w_neg"] = args.w_neg
-    hyper = replace(hyper, **overrides)
-    hyper.validate()
-    return hyper
 
 
 def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: float):
@@ -223,26 +190,20 @@ def _write_cv_table(run_dir: Path, rows):
 
 
 def _train_tensors(train_tensors, run_dir: Path, master_seed: int, hyper: HyperParams,
-                   use_grid: bool, grid_cells, folds_k: int, jobs: int, stats=None):
+                   use_grid: bool, grid_cells, folds_k: int, jobs: int):
+    """Train every cell's folds once; the winning cell's fold models are the ensemble."""
     run_dir.mkdir(parents=True, exist_ok=True)
     ids = [t.admission_id for t in train_tensors]
     labels = [t.label for t in train_tensors]
     plan = make_folds(ids, labels, k=folds_k, seed=master_seed + FOLDS_SEED_OFFSET)
-    if use_grid:
-        result = grid_search(train_tensors, plan, hyper, grid=grid_cells, jobs=jobs)
-        best = result.best
-        rows = result.rows
-        ensemble, _ = train_cell(train_tensors, plan, best, jobs=jobs, stats=stats)
-        cell_mean = next(m for h, lr, m in result.cell_means
-                         if h == best.hidden_size and lr == best.learning_rate)
-    else:
-        best = hyper
-        ensemble, fold_results = train_cell(train_tensors, plan, best, jobs=jobs, stats=stats)
-        rows = [(best.hidden_size, best.learning_rate, fold, res.best_epoch, res.best_val)
-                for fold, res in enumerate(fold_results)]
-        cell_mean = float(np.mean([res.best_val for res in fold_results]))
+    cells = grid_cells if use_grid else [(hyper.hidden_size, hyper.learning_rate)]
+    result = grid_search(train_tensors, plan, hyper, grid=cells, jobs=jobs)
+    best = result.best
+    ensemble = Ensemble(members=[r.params for r in result.results])
+    cell_mean = next(m for h, lr, m in result.cell_means
+                     if h == best.hidden_size and lr == best.learning_rate)
     _write_run_config(run_dir, master_seed, best, use_grid, grid_cells, folds_k, jobs)
-    _write_cv_table(run_dir, rows)
+    _write_cv_table(run_dir, result.rows)
     for fold, member in enumerate(ensemble.members):
         save_params(member, run_dir / f"ensemble_fold{fold}.ckpt")
     _write_manifest(run_dir)
@@ -251,12 +212,44 @@ def _train_tensors(train_tensors, run_dir: Path, master_seed: int, hyper: HyperP
     return ensemble, best, summary
 
 
+def _read_manifest(run_dir: Path):
+    """name -> sha256 hex digest as listed in manifest.txt."""
+    listed = {}
+    # undecodable bytes become U+FFFD, so a damaged line fails the digest check
+    with open(run_dir / "manifest.txt", "r", encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            digest, _, name = line.rstrip("\n").partition("  ")
+            listed[name] = digest
+    return listed
+
+
+def _run_folds(run_dir: Path) -> int:
+    with open(run_dir / "config.txt", "r", encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            key, _, value = line.rstrip("\n").partition("=")
+            if key == "folds" and value.isdecimal():
+                return int(value)
+    raise CheckpointError(f"{run_dir}/config.txt: no folds= entry")
+
+
 def _load_ensemble(run_dir: Path) -> Ensemble:
-    paths = sorted(run_dir.glob("ensemble_fold*.ckpt"),
-                   key=lambda p: int(re.search(r"(\d+)", p.stem).group(1)))
-    if not paths:
+    """Exactly folds 0..k-1 of the run, each matching its manifest digest."""
+    found = {p.name for p in run_dir.glob("ensemble_fold*.ckpt")}
+    if not found:
         raise CheckpointError(f"{run_dir}: no ensemble checkpoints found")
-    members = [load_params(p) for p in paths]
+    try:
+        k = _run_folds(run_dir)
+        listed = _read_manifest(run_dir)
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"{run_dir}: {Path(exc.filename).name} is missing") from None
+    names = [f"ensemble_fold{fold}.ckpt" for fold in range(k)]
+    if found != set(names):
+        raise CheckpointError(
+            f"{run_dir}: checkpoints {sorted(found)} do not match folds=0..{k - 1} in config.txt")
+    for name in names:
+        if listed.get(name) != _sha256(run_dir / name):
+            raise CheckpointError(f"{run_dir}: {name} does not match manifest.txt")
+    members = [load_params(run_dir / name) for name in names]
     if len({m.hidden_size for m in members}) != 1:
         raise CheckpointError(f"{run_dir}: ensemble members disagree on hidden size")
     return Ensemble(members=members)
@@ -288,7 +281,7 @@ def _evaluate_ensemble(ensemble: Ensemble, test_tensors, out_dir: Path, baseline
 
 
 def cmd_generate(args) -> int:
-    config = _cohort_config_from(args)
+    config = _configured(CohortConfig, args)
     cohort = generate_cohort(config)
     write_cohort(cohort, args.out)
     print(cohort_summary(cohort))
@@ -306,8 +299,9 @@ def cmd_preprocess(args) -> int:
 
 
 def _grid_cells_from(args):
-    hiddens = _parse_int_list(args.grid_hidden) if args.grid_hidden else GRID_HIDDEN
-    rates = _parse_float_list(args.grid_lr) if args.grid_lr else GRID_LR
+    hiddens = (_parse_list(args.grid_hidden, int, "--grid-hidden") if args.grid_hidden
+               else GRID_HIDDEN)
+    rates = _parse_list(args.grid_lr, float, "--grid-lr") if args.grid_lr else GRID_LR
     return [(h, lr) for h in hiddens for lr in rates]
 
 
@@ -315,12 +309,11 @@ def cmd_train(args) -> int:
     if not args.grid and (args.grid_hidden or args.grid_lr):
         raise ConfigError("--grid-hidden/--grid-lr require --grid")
     by_partition = _load_partitioned_tensors(Path(args.tensors))
-    stats = read_stats(Path(args.tensors) / "stats.tsv")
-    hyper = _hyper_from(args, quick=False)
+    hyper = _configured(HyperParams, args)
     _, _, summary = _train_tensors(
         by_partition["train"], Path(args.run_dir), args.seed, hyper,
         use_grid=args.grid, grid_cells=_grid_cells_from(args),
-        folds_k=args.folds, jobs=args.jobs, stats=stats)
+        folds_k=args.folds, jobs=args.jobs)
     print(summary)
     return 0
 
@@ -340,18 +333,17 @@ def cmd_evaluate(args) -> int:
 def cmd_pipeline(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = _cohort_config_from(args)
+    config = _configured(CohortConfig, args)
     cohort = generate_cohort(config)
     write_cohort(cohort, out / "cohort.tsv")
-    by_partition, stats, _ = _preprocess_cohort(
+    by_partition, _, _ = _preprocess_cohort(
         cohort, out / "prep", args.seed, args.test_fraction)
     del cohort
-    hyper = _hyper_from(args, quick=args.quick)
-    use_grid = bool(args.grid)
+    hyper = _configured(HyperParams, args)
     ensemble, _, _ = _train_tensors(
         by_partition["train"], out / "run", args.seed, hyper,
-        use_grid=use_grid, grid_cells=_grid_cells_from(args),
-        folds_k=args.folds, jobs=args.jobs, stats=stats)
+        use_grid=args.grid, grid_cells=_grid_cells_from(args),
+        folds_k=args.folds, jobs=args.jobs)
     _, summary = _evaluate_ensemble(ensemble, by_partition["test"], out / "eval",
                                     baseline2_seed=args.seed + BASELINE2_SEED_OFFSET)
     print(summary)
@@ -359,19 +351,24 @@ def cmd_pipeline(args) -> int:
 
 
 def _add_cohort_flags(sub):
-    sub.add_argument("--n", type=int, default=None, help="number of admissions")
-    sub.add_argument("--positives", type=int, default=None, help="number of positive admissions")
+    # each dest is a CohortConfig field; _configured copies the flags that are set
+    sub.add_argument("--n", dest="n_admissions", type=int, default=None,
+                     help="number of admissions")
+    sub.add_argument("--positives", dest="n_positive", type=int, default=None,
+                     help="number of positive admissions")
     sub.add_argument("--outlier-rate", type=float, default=None)
     sub.add_argument("--signal-strength", type=float, default=None)
-    sub.add_argument("--horizon", type=str, default=None, help="admission length range, hours, LO:HI")
+    sub.add_argument("--horizon", dest="horizon_hours", type=str, default=None,
+                     help="admission length range, hours, LO:HI")
 
 
 def _add_train_flags(sub):
     sub.add_argument("--grid", action="store_true", help="search the declared hyperparameter grid")
     sub.add_argument("--grid-hidden", type=str, default=None, help="comma list overriding grid hidden sizes")
     sub.add_argument("--grid-lr", type=str, default=None, help="comma list overriding grid learning rates")
-    sub.add_argument("--hidden", type=int, default=None)
-    sub.add_argument("--lr", type=float, default=None)
+    # each dest below is a HyperParams field; _configured copies the flags that are set
+    sub.add_argument("--hidden", dest="hidden_size", type=int, default=None)
+    sub.add_argument("--lr", dest="learning_rate", type=float, default=None)
     sub.add_argument("--max-epochs", type=int, default=None)
     sub.add_argument("--batch-size", type=int, default=None)
     sub.add_argument("--patience", type=int, default=None)

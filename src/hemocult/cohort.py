@@ -209,12 +209,17 @@ def read_cohort(path) -> List[PatientSeries]:
         if current is None:
             return
         for name, (ts, vals) in pending.items():
-            arr_t = np.asarray(ts, dtype=np.int64)
+            where = f"{current.admission_id}/{name}"
+            try:
+                arr_t = np.asarray(ts, dtype=np.int64)
+            except OverflowError:
+                raise FormatError(f"{path}: timestamp outside int64 for {where}") from None
             if arr_t.size > 1 and not np.all(np.diff(arr_t) > 0):
-                raise FormatError(
-                    f"{path}: timestamps not strictly increasing for "
-                    f"{current.admission_id}/{name}")
-            current.channels[name] = (arr_t, np.asarray(vals, dtype=float))
+                raise FormatError(f"{path}: timestamps not strictly increasing for {where}")
+            arr_v = np.asarray(vals, dtype=float)
+            if not np.all(np.isfinite(arr_v)):
+                raise FormatError(f"{path}: non-finite value for {where}")
+            current.channels[name] = (arr_t, arr_v)
         cohort.append(current)
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -237,7 +242,11 @@ def read_cohort(path) -> List[PatientSeries]:
                 if label == 1:
                     if fpt_s == "-":
                         raise FormatError(f"{path}:{lineno}: positive record lacks a culture time")
-                    fpt = int(fpt_s)
+                    try:
+                        fpt = int(fpt_s)
+                    except ValueError:
+                        raise FormatError(
+                            f"{path}:{lineno}: culture time must be an integer") from None
                 else:
                     if fpt_s != "-":
                         raise FormatError(f"{path}:{lineno}: negative record carries a culture time")
@@ -253,8 +262,12 @@ def read_cohort(path) -> List[PatientSeries]:
                 if name not in BY_NAME:
                     raise FormatError(f"{path}:{lineno}: unknown variable {name!r}")
                 bucket = pending.setdefault(name, ([], []))
-                bucket[0].append(int(parts[3]))
-                bucket[1].append(float(parts[4]))
+                try:
+                    bucket[0].append(int(parts[3]))
+                    bucket[1].append(float(parts[4]))
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: timestamp must be an integer "
+                                      f"and value a number") from None
             else:
                 raise FormatError(f"{path}:{lineno}: unknown record type {parts[0]!r}")
     finalize()

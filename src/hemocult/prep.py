@@ -178,13 +178,19 @@ def read_stats(path) -> NormStats:
         header = fh.readline().rstrip("\n")
         if header != "variable\tavg\tstd":
             raise FormatError(f"{path}: bad stats header")
-        for line in fh:
-            name, avg_s, std_s = line.rstrip("\n").split("\t")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3:
+                raise FormatError(f"{path}:{lineno}: want variable, avg and std")
+            name, avg_s, std_s = parts
             if name not in BY_NAME:
                 raise FormatError(f"{path}: unknown variable {name!r}")
             col = BY_NAME[name].column_index
-            avg[col] = float(avg_s)
-            std[col] = float(std_s)
+            try:
+                avg[col] = float(avg_s)
+                std[col] = float(std_s)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: avg and std must be numbers") from None
             seen.add(name)
     if len(seen) != N_VARIABLES:
         raise FormatError(f"{path}: stats cover {len(seen)} of {N_VARIABLES} variables")

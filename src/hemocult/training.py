@@ -23,7 +23,7 @@ from . import lstm
 from .errors import (ConfigError, ContractViolationError, FoldError,
                      StratificationError, TrainingDivergence)
 from .metrics import pr_auc
-from .prep import NormStats, SampleTensor
+from .prep import SampleTensor
 
 GRID_HIDDEN = (10, 100, 1000)
 GRID_LR = (0.0001, 0.001, 0.01)
@@ -77,10 +77,9 @@ class TrainResult:
 
 @dataclass
 class Ensemble:
-    """One model per fold plus the preprocessing statistics they assume."""
+    """One model per fold, in fold order."""
 
     members: List[lstm.ModelParams]
-    stats: Optional[NormStats] = None
 
 
 def _round_half_up(x: float) -> int:
@@ -258,6 +257,7 @@ class GridResult:
     best: HyperParams
     cell_means: List[Tuple[int, float, float]]  # (hidden, lr, mean val PR AUC)
     rows: List[Tuple[int, float, int, int, float]]  # (hidden, lr, fold, best_epoch, val PR AUC)
+    results: List[TrainResult]  # the winning cell's folds, in fold order
 
 
 def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperParams,
@@ -265,13 +265,17 @@ def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperPara
                 jobs: int = 1) -> GridResult:
     """Average best-epoch val PR AUC over folds per cell; argmax wins.
 
-    Ties prefer the smaller hidden size, then the smaller learning rate.
+    Ties prefer the smaller hidden size, then the smaller learning rate;
+    of equal keys the first cell wins. Only the leader's fold results are
+    kept while the search runs, so a losing cell's models are freed before
+    the next cell trains.
     """
     cells = list(grid) if grid is not None else list(product(GRID_HIDDEN, GRID_LR))
     if not cells:
         raise ConfigError("empty hyperparameter grid")
     rows = []
     cell_means = []
+    best_key = best_results = None
     for hidden, lr in cells:
         cell_hyper = replace(base, hidden_size=hidden, learning_rate=lr)
         try:
@@ -279,27 +283,17 @@ def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperPara
         except TrainingDivergence as exc:
             exc.cell = (hidden, lr)
             raise
-        for fold, res in enumerate(results):
-            rows.append((hidden, lr, fold, res.best_epoch, res.best_val))
-        cell_means.append((hidden, lr, float(np.mean([r.best_val for r in results]))))
-    best_hidden, best_lr, _ = min(cell_means, key=lambda c: (-c[2], c[0], c[1]))
+        rows.extend((hidden, lr, fold, r.best_epoch, r.best_val)
+                    for fold, r in enumerate(results))
+        mean = float(np.mean([r.best_val for r in results]))
+        cell_means.append((hidden, lr, mean))
+        key = (-mean, hidden, lr)
+        if best_key is None or key < best_key:
+            best_key, best_results = key, results
+        del results  # a loser's models must not stay alive while the next cell trains
+    _, best_hidden, best_lr = best_key
     best = replace(base, hidden_size=best_hidden, learning_rate=best_lr)
-    return GridResult(best=best, cell_means=cell_means, rows=rows)
-
-
-def train_cell(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
-               jobs: int = 1, stats: Optional[NormStats] = None):
-    """Train one grid cell across all folds; ensemble plus per-fold results."""
-    results = train_folds(tensors, plan, hyper, jobs=jobs)
-    ensemble = Ensemble(members=[res.params for res in results], stats=stats)
-    return ensemble, results
-
-
-def fit_ensemble(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
-                 jobs: int = 1, stats: Optional[NormStats] = None) -> Ensemble:
-    """One model per fold (fold = its validation set), collected as-is."""
-    ensemble, _ = train_cell(tensors, plan, hyper, jobs=jobs, stats=stats)
-    return ensemble
+    return GridResult(best=best, cell_means=cell_means, rows=rows, results=best_results)
 
 
 def ensemble_scores(ensemble: Ensemble, tensors: Sequence[SampleTensor],
@@ -319,6 +313,5 @@ def ensemble_predict(ensemble: Ensemble, tensor: SampleTensor) -> float:
 __all__ = [
     "HyperParams", "FoldPlan", "TrainResult", "Ensemble", "GridResult",
     "GRID_HIDDEN", "GRID_LR", "stratified_split", "make_folds", "train_one",
-    "train_folds", "grid_search", "train_cell", "fit_ensemble",
-    "ensemble_scores", "ensemble_predict", "score_tensors",
+    "train_folds", "grid_search", "ensemble_scores", "ensemble_predict", "score_tensors",
 ]

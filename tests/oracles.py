@@ -19,17 +19,24 @@ def _sigmoid_ld(z):
 
 
 def _run_direction_ld(Xd, W, U, b):
-    H = U.shape[1]
-    Zxb = W @ Xd.T + b[:, None]  # (4H, T)
-    h = np.zeros(H, dtype=LD)
-    c = np.zeros(H, dtype=LD)
+    """Final hidden state of one direction.
+
+    W, U and b may each carry a leading batch axis of perturbed copies;
+    the recurrence then runs once for all copies, with the same per-step
+    arithmetic as for a single parameter set.
+    """
+    H = U.shape[-1]
+    batch = np.broadcast_shapes(W.shape[:-2], U.shape[:-2], b.shape[:-1])
+    Zxb = W @ Xd.T + b[..., None]  # (..., 4H, T)
+    h = np.zeros(batch + (H,), dtype=LD)
+    c = np.zeros(batch + (H,), dtype=LD)
     for t in range(Xd.shape[0]):
-        z = Zxb[:, t] + U @ h
-        gates = _sigmoid_ld(z[:3 * H])
-        i = gates[:H]
-        f = gates[H:2 * H]
-        o = gates[2 * H:]
-        g = np.tanh(z[3 * H:])
+        z = Zxb[..., t] + (U @ h[..., None])[..., 0]
+        gates = _sigmoid_ld(z[..., :3 * H])
+        i = gates[..., :H]
+        f = gates[..., H:2 * H]
+        o = gates[..., 2 * H:]
+        g = np.tanh(z[..., 3 * H:])
         c = f * c + i * g
         h = o * np.tanh(c)
     return h
@@ -57,17 +64,32 @@ def loss_ld(X, label, params, w_pos, w_neg):
     return w * (s - LD(label)) ** 2
 
 
+def _central_copies(arr, eps):
+    """2n copies of a float64 parameter array: copy i has entry i raised by
+    eps, copy n + i has it lowered, both rounded to float64 as an in-place
+    perturbation would be; also the achieved steps, in extended precision."""
+    flat = arr.reshape(-1)
+    n = flat.size
+    hi, lo = flat + eps, flat - eps
+    copies = np.tile(flat, (2 * n, 1))
+    idx = np.arange(n)
+    copies[idx, idx] = hi
+    copies[n + idx, idx] = lo
+    return copies.reshape((2 * n,) + arr.shape).astype(LD), hi.astype(LD) - lo.astype(LD)
+
+
 def fd_gradient_worst_error(params, X, label, analytic, w_pos=8.0, w_neg=1.0,
                             eps=1e-5):
     """Max relative error between analytic and central-difference gradients.
 
-    Perturbations happen on the float64 parameters in place; each side of
-    the difference is evaluated in extended precision so the quotient is
-    not drowned by float64 rounding. The denominator uses the perturbation
-    actually achieved after rounding. A perturbed forward-direction
-    parameter cannot change the backward hidden state (and vice versa), so
-    the untouched direction is computed once and reused; head parameters
-    need no recurrence at all.
+    Every entry of a parameter array is perturbed by +-eps on its float64
+    value, and all 2n perturbed copies of the array are evaluated as one
+    batch; each side of the difference is evaluated in extended precision
+    so the quotient is not drowned by float64 rounding. The denominator
+    uses the perturbation actually achieved after rounding. A perturbed
+    forward-direction parameter cannot change the backward hidden state
+    (and vice versa), so the untouched direction is computed once and
+    reused; head parameters need no recurrence at all.
     """
     H = params.hidden_size
     w = LD(w_pos if label == 1 else w_neg)
@@ -75,44 +97,35 @@ def fd_gradient_worst_error(params, X, label, analytic, w_pos=8.0, w_neg=1.0,
     Xf = np.asarray(X, dtype=LD)
     Xb = Xf[::-1]
 
-    def loss_from(hf, hb):
-        u = (hf @ params.head_w[:H].astype(LD)
-             + hb @ params.head_w[H:].astype(LD) + LD(params.head_b[0]))
+    def loss_from(hf, hb, head_w=params.head_w.astype(LD),
+                  head_b=params.head_b.astype(LD)):
+        u = ((hf * head_w[..., :H]).sum(axis=-1) + (hb * head_w[..., H:]).sum(axis=-1)
+             + head_b[..., 0])
         return w * (_sigmoid_ld(u) - y) ** 2
 
     hf_base = _dir_h(params.fwd, Xf)
     hb_base = _dir_h(params.bwd, Xb)
     worst = 0.0
 
-    def check(flat_param, flat_grad, eval_loss):
+    def check(losses, step, grad):
         nonlocal worst
-        for i in range(flat_param.size):
-            orig = flat_param[i]
-            flat_param[i] = orig + eps
-            hi = eval_loss()
-            flat_param[i] = orig - eps
-            lo = eval_loss()
-            flat_param[i] = orig
-            numeric = float((hi - lo) / (LD(orig + eps) - LD(orig - eps)))
-            rel = abs(flat_grad[i] - numeric) / (abs(flat_grad[i]) + abs(numeric) + 1e-12)
-            if rel > worst:
-                worst = rel
+        n = step.size
+        numeric = ((losses[:n] - losses[n:]) / step).astype(float)
+        flat_grad = grad.reshape(-1)
+        rel = np.abs(flat_grad - numeric) / (np.abs(flat_grad) + np.abs(numeric) + 1e-12)
+        worst = max(worst, float(rel.max()))
 
-    def fwd_loss():
-        return loss_from(_dir_h(params.fwd, Xf), hb_base)
-
-    def bwd_loss():
-        return loss_from(hf_base, _dir_h(params.bwd, Xb))
-
-    def head_loss():
-        return loss_from(hf_base, hb_base)
-
-    for cell, gcell, eval_loss in ((params.fwd, analytic.fwd, fwd_loss),
-                                   (params.bwd, analytic.bwd, bwd_loss)):
-        for arr, garr in ((cell.W, gcell.W), (cell.U, gcell.U), (cell.b, gcell.b)):
-            check(arr.reshape(-1), garr.reshape(-1), eval_loss)
-    check(params.head_w, analytic.head_w, head_loss)
-    check(params.head_b, analytic.head_b, head_loss)
+    for cell, gcell, Xd in ((params.fwd, analytic.fwd, Xf), (params.bwd, analytic.bwd, Xb)):
+        base = {"W": cell.W.astype(LD), "U": cell.U.astype(LD), "b": cell.b.astype(LD)}
+        for name in ("W", "U", "b"):
+            copies, step = _central_copies(getattr(cell, name), eps)
+            h = _run_direction_ld(Xd, **{**base, name: copies})
+            losses = loss_from(h, hb_base) if Xd is Xf else loss_from(hf_base, h)
+            check(losses, step, getattr(gcell, name))
+    copies, step = _central_copies(params.head_w, eps)
+    check(loss_from(hf_base, hb_base, head_w=copies), step, analytic.head_w)
+    copies, step = _central_copies(params.head_b, eps)
+    check(loss_from(hf_base, hb_base, head_b=copies), step, analytic.head_b)
     return worst
 
 

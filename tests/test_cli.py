@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hemocult import training
 from hemocult.cli import _grid_cells_from, entrypoint
 from hemocult.cohort import read_cohort
 from hemocult.prep import read_stats, read_tensors
@@ -156,19 +157,39 @@ def test_manifest_hashes_are_accurate(workspace):
         assert sha256(run_dir / name) == digest
 
 
-def test_train_custom_grid(workspace, tmp_path):
+def test_train_custom_grid(workspace, tmp_path, monkeypatch):
     prep = workspace["root"] / "prep"
-    code, out, _ = run("train", "--tensors", prep, "--run-dir", tmp_path,
+    calls = []
+    train_folds = training.train_folds
+
+    def counted(tensors, plan, hyper, jobs=1):
+        calls.append((hyper.hidden_size, hyper.learning_rate))
+        return train_folds(tensors, plan, hyper, jobs=jobs)
+
+    monkeypatch.setattr(training, "train_folds", counted)
+    grid_dir = tmp_path / "grid"
+    code, out, _ = run("train", "--tensors", prep, "--run-dir", grid_dir,
                        "--seed", 5, "--grid", "--grid-hidden", "1,2",
                        "--grid-lr", "0.05", "--folds", 2, "--max-epochs", 1)
     assert code == 0
-    rows = (tmp_path / "cv_table.csv").read_text().splitlines()[1:]
+    assert calls == [(1, 0.05), (2, 0.05)]  # each cell once, no retrain of the winner
+    rows = (grid_dir / "cv_table.csv").read_text().splitlines()[1:]
     assert len(rows) == 4  # 2 grid cells x 2 folds
     assert [int(r.split(",")[3]) for r in rows] == [1, 1, 1, 1]
     assert sorted({(r.split(",")[0], r.split(",")[1]) for r in rows}) == \
         [("1", "0.05"), ("2", "0.05")]
-    assert len(list(tmp_path.glob("ensemble_fold*.ckpt"))) == 2
-    assert out.startswith("hidden=1 lr=0.05") or out.startswith("hidden=2 lr=0.05")
+    assert len(list(grid_dir.glob("ensemble_fold*.ckpt"))) == 2
+    winner = re.match(r"hidden=([12]) lr=0\.05 ", out)
+    assert winner
+
+    plain_dir = tmp_path / "plain"
+    code, _, _ = run("train", "--tensors", prep, "--run-dir", plain_dir, "--seed", 5,
+                     "--hidden", winner.group(1), "--lr", "0.05", "--folds", 2,
+                     "--max-epochs", 1)
+    assert code == 0
+    for fold in range(2):
+        name = f"ensemble_fold{fold}.ckpt"
+        assert (grid_dir / name).read_bytes() == (plain_dir / name).read_bytes()
 
 
 def test_default_grid_is_three_by_three():
@@ -181,6 +202,14 @@ def test_grid_lists_require_grid_flag(workspace, tmp_path):
     code, _, err = run("train", "--tensors", workspace["root"] / "prep",
                        "--run-dir", tmp_path, "--grid-hidden", "1,2")
     assert code == 2 and "--grid" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--grid-lr", "a"), ("--grid-hidden", "x"),
+                                         ("--grid-hidden", "1.5")])
+def test_malformed_grid_list_exits_2(workspace, tmp_path, flag, value):
+    code, _, err = run("train", "--tensors", workspace["root"] / "prep",
+                       "--run-dir", tmp_path, "--grid", flag, value)
+    assert code == 2 and err.startswith(f"error: {flag}")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -269,6 +298,42 @@ def test_evaluate_missing_split_entry_exits_3(workspace, tmp_path):
     (prep_copy / "split.tsv").write_text("\n".join(lines[:-1]) + "\n")
     code, _, err = run("evaluate", "--tensors", prep_copy, "--run-dir", root / "run")
     assert code == 3 and "missing from split file" in err
+
+
+def _drop_folds_1_and_2(run_dir):
+    (run_dir / "ensemble_fold1.ckpt").unlink()
+    (run_dir / "ensemble_fold2.ckpt").unlink()
+
+
+def _add_stale_fold4(run_dir):
+    shutil.copy(run_dir / "ensemble_fold0.ckpt", run_dir / "ensemble_fold4.ckpt")
+
+
+def _flip_one_byte(run_dir):
+    ckpt = run_dir / "ensemble_fold3.ckpt"
+    blob = bytearray(ckpt.read_bytes())
+    blob[-3] ^= 0x01  # inside the last parameter value, so the file still parses
+    ckpt.write_bytes(bytes(blob))
+
+
+def _drop_manifest(run_dir):
+    (run_dir / "manifest.txt").unlink()
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_folds_1_and_2, "do not match folds=0..3"),
+    (_add_stale_fold4, "do not match folds=0..3"),
+    (_flip_one_byte, "ensemble_fold3.ckpt does not match manifest.txt"),
+    (_drop_manifest, "manifest.txt is missing"),
+], ids=["missing_folds", "stale_fold", "flipped_byte", "no_manifest"])
+def test_evaluate_refuses_incomplete_or_altered_ensemble(workspace, tmp_path, damage, message):
+    root = workspace["root"]
+    run_copy = tmp_path / "run"
+    shutil.copytree(root / "run", run_copy)
+    damage(run_copy)
+    code, out, err = run("evaluate", "--tensors", root / "prep", "--run-dir", run_copy)
+    assert code == 6 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_evaluate_without_checkpoints_exits_6(workspace, tmp_path):

@@ -110,10 +110,10 @@ def test_single_value_writes_single_measurement(tmp_path):
     assert len(lines) == 3
 
 
-def reject(tmp_path, body):
+def reject(tmp_path, body, match=None):
     path = tmp_path / "bad.tsv"
     path.write_text(body)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=match):
         read_cohort(path)
 
 
@@ -130,6 +130,15 @@ def test_read_cohort_rejects_corrupt_files(tmp_path):
     reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t10\t1.0\nM\ta\tsofa\t10\t2.0\n")
     reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t10\n")
     reject(tmp_path, head + "Z\ta\n")
+    reject(tmp_path, head + "L\ta\t1\t5h\n", match="bad.tsv:2:")
+    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t10.5\t1.0\n", match="bad.tsv:3:")
+    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t10\tone\n", match="bad.tsv:3:")
+    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t1" + "0" * 20 + "\t1.0\n",
+           match="a/sofa")
+    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tcrp\t10\t1.0\nM\ta\tcrp\t20\tinf\n",
+           match="non-finite value for a/crp")
+    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\ttemperature\t10\tnan\n",
+           match="non-finite value for a/temperature")
 
 
 def test_config_validation():

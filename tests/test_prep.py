@@ -297,6 +297,11 @@ def test_stats_file_validation(tmp_path):
     partial.write_text("variable\tavg\tstd\ncrp\t1.0\t1.0\n")
     with pytest.raises(FormatError):
         read_stats(partial)
+    for row in ("crp\t1.0", "crp\t1.0\t1.0\t2.0", "crp\tx\t1.0", "crp\t1.0\t"):
+        bad_row = tmp_path / "r.tsv"
+        bad_row.write_text(f"variable\tavg\tstd\n{row}\n")
+        with pytest.raises(FormatError, match="r.tsv:2:"):
+            read_stats(bad_row)
 
 
 def test_tensor_cache_roundtrip(tmp_path):

@@ -11,11 +11,10 @@ from helpers import make_tensors
 from hemocult import lstm, training
 from hemocult.errors import (ConfigError, ContractViolationError, FoldError,
                              StratificationError, TrainingDivergence)
-from hemocult.prep import NormStats
 from hemocult.training import (Ensemble, FoldPlan, HyperParams, TrainResult,
-                               ensemble_predict, ensemble_scores, fit_ensemble,
-                               grid_search, make_folds, score_tensors,
-                               stratified_split, train_folds, train_one)
+                               ensemble_predict, ensemble_scores, grid_search,
+                               make_folds, score_tensors, stratified_split,
+                               train_folds, train_one)
 
 
 def fake_ids(n, n_pos):
@@ -302,18 +301,33 @@ def test_grid_search_single_cell():
     direct = train_folds(tensors, plan, SMALL_HYPER)
     assert [row[4] for row in result.rows] == [r.best_val for r in direct]
     assert [row[3] for row in result.rows] == [r.best_epoch for r in direct]
+    assert len(result.results) == 5
+    for kept, fresh in zip(result.results, direct):
+        assert kept.history == fresh.history and kept.best_epoch == fresh.best_epoch
+        assert params_equal(kept.params, fresh.params)
 
 
-def test_grid_search_prefers_learning_cell():
+def test_grid_search_prefers_learning_cell(monkeypatch):
     tensors = make_tensors(30, 10, seed=8)
     ids = [t.admission_id for t in tensors]
     labels = [t.label for t in tensors]
     plan = make_folds(ids, labels, k=3, seed=1)
     base = replace(SMALL_HYPER, max_epochs=10)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return train_folds(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_folds", counted)
     result = grid_search(tensors, plan, base, grid=[(2, 0.05), (2, 1e-12)])
+    assert [h.learning_rate for h in calls] == [0.05, 1e-12]  # each cell trains once
     assert result.best.learning_rate == 0.05
     means = {(h, lr): m for h, lr, m in result.cell_means}
     assert means[(2, 0.05)] > means[(2, 1e-12)]
+    winner = train_folds(tensors, plan, replace(base, learning_rate=0.05))
+    assert [r.history for r in result.results] == [r.history for r in winner]
+    assert all(params_equal(a.params, b.params) for a, b in zip(result.results, winner))
 
 
 def test_grid_search_tie_prefers_small_then_slow(monkeypatch):
@@ -326,6 +340,7 @@ def test_grid_search_tie_prefers_small_then_slow(monkeypatch):
     plan = FoldPlan(folds=[["a"], ["b"]])
     result = grid_search([], plan, SMALL_HYPER, grid=[(5, 0.01), (2, 0.1), (2, 0.01)])
     assert (result.best.hidden_size, result.best.learning_rate) == (2, 0.01)
+    assert [r.params.hidden_size for r in result.results] == [2, 2]
 
 
 def test_grid_search_rejects_empty_grid():
@@ -346,19 +361,17 @@ def test_grid_search_tags_divergent_cell():
     assert info.value.fold == 0
 
 
-def test_fit_ensemble_one_member_per_fold():
+def test_grid_search_one_member_per_fold():
     tensors = make_tensors(40, 16, seed=10)
     ids = [t.admission_id for t in tensors]
     labels = [t.label for t in tensors]
     plan = make_folds(ids, labels, k=10, seed=0)
     hyper = replace(SMALL_HYPER, max_epochs=2)
-    stats = NormStats(avg=np.zeros(9), std=np.ones(9))
-    ensemble = fit_ensemble(tensors, plan, hyper, stats=stats)
-    assert len(ensemble.members) == 10
-    assert ensemble.stats is stats
-    again = fit_ensemble(tensors, plan, hyper)
-    assert all(params_equal(a, b) for a, b in zip(ensemble.members, again.members))
-    assert not params_equal(ensemble.members[0], ensemble.members[1])
+    members = [r.params for r in grid_search(tensors, plan, hyper, grid=[(2, 0.05)]).results]
+    assert len(members) == 10
+    again = [r.params for r in grid_search(tensors, plan, hyper, grid=[(2, 0.05)]).results]
+    assert all(params_equal(a, b) for a, b in zip(members, again))
+    assert not params_equal(members[0], members[1])
 
 
 def test_ensemble_scores_average_members():
