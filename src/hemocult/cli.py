@@ -43,6 +43,9 @@ FOLDS_SEED_OFFSET = 3_000_017
 
 SPLIT_MAGIC = "#hemocult-split v1"
 
+# preprocess outputs; train records their sha256 and evaluate checks it
+PREP_FILES = ("tensors.bin", "split.tsv", "stats.tsv")
+
 # --quick settings, keyed by CohortConfig/HyperParams field
 QUICK_PROFILE = {
     "n_admissions": 300, "n_positive": 40, "horizon_hours": (12.0, 48.0),
@@ -82,14 +85,17 @@ def write_split(path, ids, partitions):
 
 def read_split(path):
     partition_of = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != SPLIT_MAGIC:
-            raise FormatError(f"{path}: bad split header")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or parts[1] not in ("train", "test"):
-                raise FormatError(f"{path}:{lineno}: malformed split record")
-            partition_of[parts[0]] = parts[1]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n") != SPLIT_MAGIC:
+                raise FormatError(f"{path}: bad split header")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != 2 or parts[1] not in ("train", "test"):
+                    raise FormatError(f"{path}:{lineno}: malformed split record")
+                partition_of[parts[0]] = parts[1]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
     return partition_of
 
 
@@ -99,6 +105,11 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _prep_digests(prep_dir: Path):
+    """config.txt entries: the sha256 of each prep file, keyed by its name."""
+    return {f"prep_sha256.{name}": _sha256(prep_dir / name) for name in PREP_FILES}
 
 
 def _write_manifest(run_dir: Path):
@@ -189,8 +200,8 @@ def _write_cv_table(run_dir: Path, rows):
             fh.write(f"{hidden},{lr!r},{fold},{best_epoch},{val!r}\n")
 
 
-def _train_tensors(train_tensors, run_dir: Path, master_seed: int, hyper: HyperParams,
-                   use_grid: bool, grid_cells, folds_k: int, jobs: int):
+def _train_tensors(train_tensors, prep_dir: Path, run_dir: Path, master_seed: int,
+                   hyper: HyperParams, use_grid: bool, grid_cells, folds_k: int, jobs: int):
     """Train every cell's folds once; the winning cell's fold models are the ensemble."""
     run_dir.mkdir(parents=True, exist_ok=True)
     ids = [t.admission_id for t in train_tensors]
@@ -202,7 +213,8 @@ def _train_tensors(train_tensors, run_dir: Path, master_seed: int, hyper: HyperP
     ensemble = Ensemble(members=[r.params for r in result.results])
     cell_mean = next(m for h, lr, m in result.cell_means
                      if h == best.hidden_size and lr == best.learning_rate)
-    _write_run_config(run_dir, master_seed, best, use_grid, grid_cells, folds_k, jobs)
+    _write_run_config(run_dir, master_seed, best, use_grid, grid_cells, folds_k, jobs,
+                      extra=_prep_digests(prep_dir))
     _write_cv_table(run_dir, result.rows)
     for fold, member in enumerate(ensemble.members):
         save_params(member, run_dir / f"ensemble_fold{fold}.ckpt")
@@ -223,13 +235,28 @@ def _read_manifest(run_dir: Path):
     return listed
 
 
-def _run_folds(run_dir: Path) -> int:
+def _read_run_config(run_dir: Path):
+    """key -> value as written to config.txt."""
     with open(run_dir / "config.txt", "r", encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition("=")
-            if key == "folds" and value.isdecimal():
-                return int(value)
-    raise CheckpointError(f"{run_dir}/config.txt: no folds= entry")
+        return dict(line.rstrip("\n").partition("=")[::2] for line in fh)
+
+
+def _run_folds(run_dir: Path) -> int:
+    value = _read_run_config(run_dir).get("folds", "")
+    if not value.isdecimal():
+        raise CheckpointError(f"{run_dir}/config.txt: no folds= entry")
+    return int(value)
+
+
+def _check_prep(run_dir: Path, prep_dir: Path):
+    """The prep files must be the ones the run was trained on."""
+    recorded = _read_run_config(run_dir)
+    for key, digest in _prep_digests(prep_dir).items():
+        if recorded.get(key) != digest:
+            name = key.partition(".")[2]
+            raise ContractViolationError(
+                f"{prep_dir / name} is not the file {run_dir} was trained on "
+                f"(sha256 differs from {key} in config.txt)")
 
 
 def _load_ensemble(run_dir: Path) -> Ensemble:
@@ -311,7 +338,7 @@ def cmd_train(args) -> int:
     by_partition = _load_partitioned_tensors(Path(args.tensors))
     hyper = _configured(HyperParams, args)
     _, _, summary = _train_tensors(
-        by_partition["train"], Path(args.run_dir), args.seed, hyper,
+        by_partition["train"], Path(args.tensors), Path(args.run_dir), args.seed, hyper,
         use_grid=args.grid, grid_cells=_grid_cells_from(args),
         folds_k=args.folds, jobs=args.jobs)
     print(summary)
@@ -323,6 +350,7 @@ def cmd_evaluate(args) -> int:
     if not by_partition["test"]:
         raise ConfigError("no test tensors in the cache")
     ensemble = _load_ensemble(Path(args.run_dir))
+    _check_prep(Path(args.run_dir), Path(args.tensors))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.run_dir)
     _, summary = _evaluate_ensemble(ensemble, by_partition["test"], out_dir,
                                     baseline2_seed=args.seed + BASELINE2_SEED_OFFSET)
@@ -335,13 +363,13 @@ def cmd_pipeline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     config = _configured(CohortConfig, args)
     cohort = generate_cohort(config)
-    write_cohort(cohort, out / "cohort.tsv")
+    write_cohort(cohort, out / "cohort.bin")
     by_partition, _, _ = _preprocess_cohort(
         cohort, out / "prep", args.seed, args.test_fraction)
     del cohort
     hyper = _configured(HyperParams, args)
     ensemble, _, _ = _train_tensors(
-        by_partition["train"], out / "run", args.seed, hyper,
+        by_partition["train"], out / "prep", out / "run", args.seed, hyper,
         use_grid=args.grid, grid_cells=_grid_cells_from(args),
         folds_k=args.folds, jobs=args.jobs)
     _, summary = _evaluate_ensemble(ensemble, by_partition["test"], out / "eval",

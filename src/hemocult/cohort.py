@@ -1,4 +1,4 @@
-"""Synthetic ICU cohort generation and the line-based cohort file format.
+"""Synthetic ICU cohort generation and the binary columnar cohort file.
 
 Each admission gets nine measurement channels sampled at per-variable
 cadences over a random horizon. Values are a per-variable physiological
@@ -12,17 +12,37 @@ The first positive culture time is set to the last recorded timestamp of
 the admission, which is also the window end used for negatives, so with
 signal_strength 0 the two classes are draws from one process and carry no
 structural signal.
+
+Cohort file layout, all integers and floats little-endian:
+
+    magic  b"#hemocult-cohort v2\\n"
+    u64    admission count
+    per admission:
+        u32 id length, id bytes (UTF-8)
+        u8 label (0/1), u8 has culture time (0/1), i64 culture time (0 if none)
+        per variable in VARIABLE_NAMES order:
+            u64 n, n x i64 timestamps, n x f64 values
+
+Every channel is stored, empty ones included, so a read gives back exactly
+the series that were written.
 """
 
+import os
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, SchemaError
 from .variables import BY_NAME, VARIABLE_NAMES
 
-COHORT_MAGIC = "#hemocult-cohort v1"
+COHORT_MAGIC = b"#hemocult-cohort v2\n"
+_COUNT = struct.Struct("<Q")
+_ID_LEN = struct.Struct("<I")
+_ADMISSION = struct.Struct("<BBq")  # label, has culture time, culture time (0 if none)
+_MIN_ADMISSION_BYTES = _ID_LEN.size + _ADMISSION.size + len(VARIABLE_NAMES) * _COUNT.size
+_EMPTY_CHANNEL = (np.empty(0, dtype=np.int64), np.empty(0))
 
 # samples per hour; vitals at monitor cadence, labs twice a day, SOFA daily
 DEFAULT_FREQUENCIES: Dict[str, float] = {
@@ -181,96 +201,108 @@ def generate_cohort(config: CohortConfig) -> List[PatientSeries]:
 
 
 def write_cohort(cohort: List[PatientSeries], path):
-    """Line format: header, then per admission one L record and its M records."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(COHORT_MAGIC + "\n")
+    """Binary columnar file; see the module docstring for the layout.
+
+    Streams one channel at a time, so the writer never holds a second
+    copy of the cohort.
+    """
+    with open(path, "wb") as fh:
+        fh.write(COHORT_MAGIC)
+        fh.write(_COUNT.pack(len(cohort)))
         for series in cohort:
-            fpt = "-" if series.first_positive_time is None else str(series.first_positive_time)
-            fh.write(f"L\t{series.admission_id}\t{series.label}\t{fpt}\n")
+            raw_id = series.admission_id.encode("utf-8")
+            fpt = series.first_positive_time
+            fh.write(_ID_LEN.pack(len(raw_id)))
+            fh.write(raw_id)
+            fh.write(_ADMISSION.pack(series.label, fpt is not None, 0 if fpt is None else fpt))
             for name in VARIABLE_NAMES:
-                if name not in series.channels:
-                    continue
-                ts, vals = series.channels[name]
-                aid = series.admission_id
-                lines = [
-                    f"M\t{aid}\t{name}\t{t}\t{v!r}"
-                    for t, v in zip(ts.tolist(), vals.tolist())
-                ]
-                if lines:
-                    fh.write("\n".join(lines) + "\n")
+                ts, vals = series.channels.get(name, _EMPTY_CHANNEL)
+                ts, vals = np.asarray(ts), np.asarray(vals)
+                if ts.dtype.kind not in "iu" or ts.ndim != 1 or ts.shape != vals.shape:
+                    # the file stores one count for both arrays and integer seconds
+                    raise SchemaError(f"{series.admission_id}/{name}: want 1-d integer "
+                                      f"timestamps and as many values")
+                fh.write(_COUNT.pack(ts.size))
+                fh.write(np.ascontiguousarray(ts, dtype="<i8"))
+                fh.write(np.ascontiguousarray(vals, dtype="<f8"))
+
+
+class _CohortReader:
+    """Reads a cohort file front to back; every length is checked before it allocates."""
+
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def error(self, message) -> FormatError:
+        return FormatError(f"{self.path}: {message}")
+
+    def take(self, n, what):
+        if n > self.left:
+            raise self.error(f"truncated {what}: needs {n} bytes, {self.left} left")
+        self.left -= n
+
+    def unpack(self, layout: struct.Struct, what):
+        self.take(layout.size, what)
+        raw = self.fh.read(layout.size)
+        if len(raw) != layout.size:
+            raise self.error(f"truncated {what}")
+        return layout.unpack(raw)
+
+    def array(self, count, dtype, what) -> np.ndarray:
+        out = np.empty(count, dtype=dtype)
+        if self.fh.readinto(out) != out.nbytes:
+            raise self.error(f"truncated {what}")
+        return out
+
+    def channel(self, where):
+        (count,) = self.unpack(_COUNT, f"channel header of {where}")
+        self.take(count * 16, f"channel {where}")
+        ts = self.array(count, "<i8", f"timestamps of {where}")
+        vals = self.array(count, "<f8", f"values of {where}")
+        if count > 1 and not np.all(ts[1:] > ts[:-1]):
+            raise self.error(f"timestamps not strictly increasing for {where}")
+        if not np.all(np.isfinite(vals)):
+            raise self.error(f"non-finite value for {where}")
+        return ts, vals
+
+    def admission(self, index) -> PatientSeries:
+        (id_len,) = self.unpack(_ID_LEN, f"header of admission {index}")
+        self.take(id_len, f"id of admission {index}")
+        raw_id = self.fh.read(id_len)
+        if len(raw_id) != id_len:
+            raise self.error(f"truncated id of admission {index}")
+        try:
+            aid = raw_id.decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"id of admission {index} is not UTF-8") from None
+        label, has_fpt, fpt = self.unpack(_ADMISSION, f"header of {aid}")
+        if label not in (0, 1):
+            raise self.error(f"label of {aid} must be 0 or 1, got {label}")
+        if has_fpt not in (0, 1):
+            raise self.error(f"culture-time flag of {aid} must be 0 or 1, got {has_fpt}")
+        if label == 1 and not has_fpt:
+            raise self.error(f"positive admission {aid} lacks a culture time")
+        if label == 0 and has_fpt:
+            raise self.error(f"negative admission {aid} carries a culture time")
+        channels = {name: self.channel(f"{aid}/{name}") for name in VARIABLE_NAMES}
+        return PatientSeries(aid, label, fpt if has_fpt else None, channels)
 
 
 def read_cohort(path) -> List[PatientSeries]:
-    cohort: List[PatientSeries] = []
-    pending: Dict[str, Tuple[List[int], List[float]]] = {}
-    current: Optional[PatientSeries] = None
-
-    def finalize():
-        if current is None:
-            return
-        for name, (ts, vals) in pending.items():
-            where = f"{current.admission_id}/{name}"
-            try:
-                arr_t = np.asarray(ts, dtype=np.int64)
-            except OverflowError:
-                raise FormatError(f"{path}: timestamp outside int64 for {where}") from None
-            if arr_t.size > 1 and not np.all(np.diff(arr_t) > 0):
-                raise FormatError(f"{path}: timestamps not strictly increasing for {where}")
-            arr_v = np.asarray(vals, dtype=float)
-            if not np.all(np.isfinite(arr_v)):
-                raise FormatError(f"{path}: non-finite value for {where}")
-            current.channels[name] = (arr_t, arr_v)
-        cohort.append(current)
-
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != COHORT_MAGIC:
-            raise FormatError(f"{path}: bad cohort header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if parts[0] == "L":
-                if len(parts) != 4:
-                    raise FormatError(f"{path}:{lineno}: malformed label record")
-                finalize()
-                aid, label_s, fpt_s = parts[1], parts[2], parts[3]
-                if label_s not in ("0", "1"):
-                    raise FormatError(f"{path}:{lineno}: label must be 0 or 1")
-                label = int(label_s)
-                if label == 1:
-                    if fpt_s == "-":
-                        raise FormatError(f"{path}:{lineno}: positive record lacks a culture time")
-                    try:
-                        fpt = int(fpt_s)
-                    except ValueError:
-                        raise FormatError(
-                            f"{path}:{lineno}: culture time must be an integer") from None
-                else:
-                    if fpt_s != "-":
-                        raise FormatError(f"{path}:{lineno}: negative record carries a culture time")
-                    fpt = None
-                current = PatientSeries(aid, label, fpt, {})
-                pending = {}
-            elif parts[0] == "M":
-                if len(parts) != 5:
-                    raise FormatError(f"{path}:{lineno}: malformed measurement record")
-                if current is None or parts[1] != current.admission_id:
-                    raise FormatError(f"{path}:{lineno}: measurement outside its admission block")
-                name = parts[2]
-                if name not in BY_NAME:
-                    raise FormatError(f"{path}:{lineno}: unknown variable {name!r}")
-                bucket = pending.setdefault(name, ([], []))
-                try:
-                    bucket[0].append(int(parts[3]))
-                    bucket[1].append(float(parts[4]))
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: timestamp must be an integer "
-                                      f"and value a number") from None
-            else:
-                raise FormatError(f"{path}:{lineno}: unknown record type {parts[0]!r}")
-    finalize()
+    """Inverse of write_cohort; a malformed file raises FormatError."""
+    with open(path, "rb") as fh:
+        reader = _CohortReader(fh, path)
+        magic = fh.read(len(COHORT_MAGIC))
+        if magic != COHORT_MAGIC:
+            raise FormatError(f"{path}: bad cohort header {magic!r}")
+        reader.left -= len(magic)
+        (n_admissions,) = reader.unpack(_COUNT, "admission count")
+        if n_admissions * _MIN_ADMISSION_BYTES > reader.left:
+            raise reader.error(f"{n_admissions} admissions cannot fit in {reader.left} bytes")
+        cohort = [reader.admission(index) for index in range(n_admissions)]
+        if reader.left:
+            raise reader.error(f"{reader.left} trailing bytes after the last admission")
     return cohort
 
 

@@ -14,7 +14,7 @@ class SchemaError(HemocultError):
 
 
 class FormatError(HemocultError):
-    """A cohort text file is malformed or has the wrong header."""
+    """A cohort file or a text artifact is malformed or has the wrong header."""
 
 
 class TensorCacheError(HemocultError):

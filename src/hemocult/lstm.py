@@ -346,14 +346,16 @@ def load_params(path) -> ModelParams:
     arrays = {}
     for expected in _BLOCK_NAMES:
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
-        if name != expected:
+        name = take(name_len)
+        if name != expected.encode("utf-8"):
             raise CheckpointError(f"{path}: block {name!r} where {expected!r} expected")
         (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if ndim not in (1, 2):
+            raise CheckpointError(f"{path}: block {expected!r} has {ndim} dimensions")
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        count = math.prod(shape)
         data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-        arrays[name] = data
+        arrays[expected] = data
     if off != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after last block")
     p = ModelParams(

@@ -117,7 +117,11 @@ def select_end_time(series: PatientSeries) -> int:
 
 def resample_channel(ts: np.ndarray, vals: np.ndarray, spec: VariableSpec,
                      end_time: float, stats: NormStats) -> np.ndarray:
-    """72 hourly values, oldest first: aggregate, normalize, fill."""
+    """72 hourly values, oldest first: aggregate, normalize, fill.
+
+    ts must be increasing, as in a PatientSeries, so that the members of a
+    bin are one contiguous run.
+    """
     avg, std = stats.for_name(spec.name)
     out = np.zeros(N_BINS)
     ts = np.asarray(ts, dtype=float)
@@ -125,25 +129,25 @@ def resample_channel(ts: np.ndarray, vals: np.ndarray, spec: VariableSpec,
     edges = start + BIN_SECONDS * np.arange(N_BINS + 1, dtype=float)
     inside = (ts >= start) & (ts <= end_time)
     ts_in = ts[inside]
+    if not ts_in.size:
+        return out
     vals_in = np.asarray(vals, dtype=float)[inside]
     bins = np.searchsorted(edges, ts_in, side="right") - 1
     # the final bin is closed at end_time (covers any rounding of edges[72])
     bins = np.minimum(bins, N_BINS - 1)
-    filled = None
-    for k in range(N_BINS):
-        members = vals_in[bins == k]
-        if members.size:
-            if spec.aggregation == "min":
-                agg = members.min()
-            elif spec.aggregation == "max":
-                agg = members.max()
-            else:
-                agg = members.mean()
-            filled = normalize(agg, avg, std)
-            out[k] = filled
-        elif filled is not None:
-            out[k] = filled  # forward fill after the first observation
-        # else leave the zero padding (the normalized mean)
+    occupied, first = np.unique(bins, return_index=True)
+    if spec.aggregation == "mean":
+        # a slice mean per bin sums in the same order as np.mean over the members
+        stops = np.append(first[1:], bins.size)
+        agg = np.array([vals_in[a:b].mean() for a, b in zip(first, stops)])
+    else:
+        agg = (np.minimum if spec.aggregation == "min" else np.maximum).reduceat(vals_in, first)
+    # index of the latest occupied bin at or before each bin; -1 before the first
+    latest = np.full(N_BINS, -1)
+    latest[occupied] = np.arange(occupied.size)
+    latest = np.maximum.accumulate(latest)
+    seen = latest >= 0
+    out[seen] = normalize(agg, avg, std)[latest[seen]]  # zero padding stays before
     return out
 
 
@@ -174,24 +178,27 @@ def read_stats(path) -> NormStats:
     avg = np.zeros(N_VARIABLES)
     std = np.zeros(N_VARIABLES)
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "variable\tavg\tstd":
-            raise FormatError(f"{path}: bad stats header")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: want variable, avg and std")
-            name, avg_s, std_s = parts
-            if name not in BY_NAME:
-                raise FormatError(f"{path}: unknown variable {name!r}")
-            col = BY_NAME[name].column_index
-            try:
-                avg[col] = float(avg_s)
-                std[col] = float(std_s)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: avg and std must be numbers") from None
-            seen.add(name)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != "variable\tavg\tstd":
+                raise FormatError(f"{path}: bad stats header")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != 3:
+                    raise FormatError(f"{path}:{lineno}: want variable, avg and std")
+                name, avg_s, std_s = parts
+                if name not in BY_NAME:
+                    raise FormatError(f"{path}: unknown variable {name!r}")
+                col = BY_NAME[name].column_index
+                try:
+                    avg[col] = float(avg_s)
+                    std[col] = float(std_s)
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: avg and std must be numbers") from None
+                seen.add(name)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
     if len(seen) != N_VARIABLES:
         raise FormatError(f"{path}: stats cover {len(seen)} of {N_VARIABLES} variables")
     return NormStats(avg=avg, std=std)
@@ -225,7 +232,10 @@ def read_tensors(path) -> List[SampleTensor]:
         off += 4
         if off + id_len + 1 + body > len(blob):
             raise TensorCacheError(f"{path}: truncated record")
-        admission_id = blob[off:off + id_len].decode("utf-8")
+        try:
+            admission_id = blob[off:off + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise TensorCacheError(f"{path}: admission id at byte {off} is not UTF-8") from None
         off += id_len
         label = blob[off]
         off += 1

@@ -113,7 +113,8 @@ def fd_gradient_worst_error(params, X, label, analytic, w_pos=8.0, w_neg=1.0,
         numeric = ((losses[:n] - losses[n:]) / step).astype(float)
         flat_grad = grad.reshape(-1)
         rel = np.abs(flat_grad - numeric) / (np.abs(flat_grad) + np.abs(numeric) + 1e-12)
-        worst = max(worst, float(rel.max()))
+        # a NaN entry compares false against any tolerance, so it counts as infinite
+        worst = max(worst, float(np.where(np.isfinite(rel), rel, np.inf).max()))
 
     for cell, gcell, Xd in ((params.fwd, analytic.fwd, Xf), (params.bwd, analytic.bwd, Xb)):
         base = {"W": cell.W.astype(LD), "U": cell.U.astype(LD), "b": cell.b.astype(LD)}

@@ -38,10 +38,10 @@ def sha256(path):
 def workspace(tmp_path_factory):
     """One generate -> preprocess -> train chain shared by the read-only tests."""
     root = tmp_path_factory.mktemp("cli")
-    code, gen_out, _ = run("generate", "--out", root / "cohort.tsv", "--seed", 5,
+    code, gen_out, _ = run("generate", "--out", root / "cohort.bin", "--seed", 5,
                            *TINY_COHORT)
     assert code == 0
-    code, pre_out, _ = run("preprocess", "--cohort", root / "cohort.tsv",
+    code, pre_out, _ = run("preprocess", "--cohort", root / "cohort.bin",
                            "--out-dir", root / "prep", "--seed", 5)
     assert code == 0
     code, train_out, _ = run("train", "--tensors", root / "prep",
@@ -61,22 +61,22 @@ def test_version_flag():
 
 def test_generate_summary_and_determinism(tmp_path):
     args = ["--seed", 2, "--n", 6, "--positives", 2, "--horizon", "2:4"]
-    code, out, _ = run("generate", "--out", tmp_path / "a.tsv", *args)
+    code, out, _ = run("generate", "--out", tmp_path / "a.bin", *args)
     assert code == 0
     assert re.fullmatch(r"admissions=6 positives=2 values=\d+\n", out)
-    cohort = read_cohort(tmp_path / "a.tsv")
+    cohort = read_cohort(tmp_path / "a.bin")
     assert sum(s.label for s in cohort) == 2
-    run("generate", "--out", tmp_path / "b.tsv", *args)
-    assert sha256(tmp_path / "a.tsv") == sha256(tmp_path / "b.tsv")
-    run("generate", "--out", tmp_path / "c.tsv", "--seed", 3, *args[2:])
-    assert sha256(tmp_path / "a.tsv") != sha256(tmp_path / "c.tsv")
+    run("generate", "--out", tmp_path / "b.bin", *args)
+    assert sha256(tmp_path / "a.bin") == sha256(tmp_path / "b.bin")
+    run("generate", "--out", tmp_path / "c.bin", "--seed", 3, *args[2:])
+    assert sha256(tmp_path / "a.bin") != sha256(tmp_path / "c.bin")
 
 
 def test_generate_all_negative_cohort(tmp_path):
-    code, out, _ = run("generate", "--out", tmp_path / "neg.tsv", "--seed", 1,
+    code, out, _ = run("generate", "--out", tmp_path / "neg.bin", "--seed", 1,
                        "--n", 5, "--positives", 0, "--horizon", "2:4")
     assert code == 0 and out.startswith("admissions=5 positives=0")
-    assert all(s.label == 0 for s in read_cohort(tmp_path / "neg.tsv"))
+    assert all(s.label == 0 for s in read_cohort(tmp_path / "neg.bin"))
 
 
 def test_preprocess_outputs(workspace):
@@ -93,7 +93,7 @@ def test_preprocess_outputs(workspace):
 
 def test_preprocess_is_repeatable(workspace, tmp_path):
     root = workspace["root"]
-    code, _, _ = run("preprocess", "--cohort", root / "cohort.tsv",
+    code, _, _ = run("preprocess", "--cohort", root / "cohort.bin",
                      "--out-dir", tmp_path, "--seed", 5)
     assert code == 0
     for name in ("split.tsv", "stats.tsv", "tensors.bin"):
@@ -101,22 +101,44 @@ def test_preprocess_is_repeatable(workspace, tmp_path):
 
 
 def test_preprocess_missing_cohort_exits_3(tmp_path):
-    code, _, err = run("preprocess", "--cohort", tmp_path / "absent.tsv",
+    code, _, err = run("preprocess", "--cohort", tmp_path / "absent.bin",
                        "--out-dir", tmp_path / "out")
     assert code == 3 and err.startswith("error:")
 
 
-def test_preprocess_corrupt_cohort_exits_3(tmp_path):
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("#something-else v1\n")
-    code, _, err = run("preprocess", "--cohort", bad, "--out-dir", tmp_path / "out")
-    assert code == 3 and "header" in err
+def test_preprocess_corrupt_cohort_exits_3(workspace, tmp_path):
+    good = (workspace["root"] / "cohort.bin").read_bytes()
+    id_at = good.index(b"adm00000")
+    cases = [
+        (b"#something-else v1\n", "bad cohort header"),
+        (b"#hemocult-cohort v1\nL\tadm00000\t0\t-\n", "bad cohort header"),  # text cohort
+        (good[:-5], "truncated"),
+        (good + b"\x00", "trailing bytes"),
+        (good[:id_at] + b"\xff" + good[id_at + 1:], "admission 0 is not UTF-8"),
+    ]
+    for body, message in cases:
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(body)
+        code, _, err = run("preprocess", "--cohort", bad, "--out-dir", tmp_path / "out")
+        assert code == 3 and err.startswith("error:") and message in err, (message, err)
+
+
+def test_non_utf8_split_file_exits_3(workspace, tmp_path):
+    root = workspace["root"]
+    prep_copy = tmp_path / "prep"
+    shutil.copytree(root / "prep", prep_copy)
+    split = prep_copy / "split.tsv"
+    split.write_bytes(split.read_bytes().replace(b"adm00001", b"adm\xff0001"))
+    for argv in (["train", "--tensors", prep_copy, "--run-dir", tmp_path / "run"],
+                 ["evaluate", "--tensors", prep_copy, "--run-dir", root / "run"]):
+        code, _, err = run(*argv)
+        assert code == 3 and "split.tsv: not UTF-8 text" in err
 
 
 def test_preprocess_single_class_exits_4(tmp_path):
-    run("generate", "--out", tmp_path / "neg.tsv", "--n", 8, "--positives", 0,
+    run("generate", "--out", tmp_path / "neg.bin", "--n", 8, "--positives", 0,
         "--horizon", "2:4")
-    code, _, err = run("preprocess", "--cohort", tmp_path / "neg.tsv",
+    code, _, err = run("preprocess", "--cohort", tmp_path / "neg.bin",
                        "--out-dir", tmp_path / "out")
     assert code == 4 and "both classes" in err
 
@@ -139,6 +161,8 @@ def test_train_run_directory_contents(workspace):
                   for line in (run_dir / "config.txt").read_text().splitlines())
     assert config["master_seed"] == "5" and config["folds"] == "4"
     assert config["hidden_size"] == "2" and config["grid"] == "0"
+    for name in ("tensors.bin", "split.tsv", "stats.tsv"):
+        assert config[f"prep_sha256.{name}"] == sha256(workspace["root"] / "prep" / name)
     match = re.fullmatch(r"hidden=2 lr=0\.05 cv_pr_auc=([0-9.e-]+) folds=4\n",
                          workspace["train_out"])
     assert match and 0.0 <= float(match.group(1)) <= 1.0
@@ -336,6 +360,27 @@ def test_evaluate_refuses_incomplete_or_altered_ensemble(workspace, tmp_path, da
     assert err.startswith("error:") and message in err
 
 
+def test_evaluate_with_another_prep_exits_6(workspace, tmp_path):
+    root = workspace["root"]
+    other = tmp_path / "prep_b"
+    code, _, _ = run("preprocess", "--cohort", root / "cohort.bin", "--out-dir", other,
+                     "--seed", 6)
+    assert code == 0
+    code, out, err = run("evaluate", "--tensors", other, "--run-dir", root / "run",
+                         "--out-dir", tmp_path / "eval", "--seed", 5)
+    assert code == 6 and out == ""
+    assert "tensors.bin is not the file" in err
+    assert not (tmp_path / "eval").exists()
+
+    stats_only = tmp_path / "prep_c"
+    shutil.copytree(root / "prep", stats_only)
+    with open(stats_only / "stats.tsv", "a", encoding="utf-8") as fh:
+        fh.write("crp\t1.0\t2.0\n")  # still parses; only its digest changes
+    code, _, err = run("evaluate", "--tensors", stats_only, "--run-dir", root / "run",
+                       "--out-dir", tmp_path / "eval_c", "--seed", 5)
+    assert code == 6 and "stats.tsv is not the file" in err
+
+
 def test_evaluate_without_checkpoints_exits_6(workspace, tmp_path):
     empty = tmp_path / "empty_run"
     empty.mkdir()
@@ -345,7 +390,7 @@ def test_evaluate_without_checkpoints_exits_6(workspace, tmp_path):
 
 
 PIPELINE_FILES = [
-    "cohort.tsv",
+    "cohort.bin",
     "eval/pr_curve.csv", "eval/pr_curve.svg", "eval/report.txt",
     "prep/split.tsv", "prep/stats.tsv", "prep/tensors.bin",
     "run/config.txt", "run/cv_table.csv",

@@ -1,11 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from hemocult.cohort import (COHORT_MAGIC, CohortConfig, PatientSeries,
                              cohort_summary, generate_cohort, read_cohort,
                              write_cohort)
-from hemocult.errors import ConfigError, FormatError
-from hemocult.variables import BY_NAME, VARIABLES
+from hemocult.errors import ConfigError, FormatError, SchemaError
+from hemocult.variables import VARIABLE_NAMES, VARIABLES
 
 
 def limited_variables():
@@ -74,7 +76,9 @@ def test_positive_culture_time_is_last_timestamp():
 def test_cohort_file_roundtrip(tmp_path):
     cohort = generate_cohort(CohortConfig(n_admissions=12, n_positive=3, seed=17,
                                           horizon_hours=(2.0, 6.0)))
-    path = tmp_path / "cohort.tsv"
+    # the daily SOFA channel is empty in some of these short stays
+    assert any(not ts.size for s in cohort for ts, _ in s.channels.values())
+    path = tmp_path / "cohort.bin"
     write_cohort(cohort, path)
     back = read_cohort(path)
     assert len(back) == len(cohort)
@@ -82,62 +86,99 @@ def test_cohort_file_roundtrip(tmp_path):
         assert loaded.admission_id == orig.admission_id
         assert loaded.label == orig.label
         assert loaded.first_positive_time == orig.first_positive_time
-        # channels without measurements produce no records and vanish on read
-        assert set(loaded.channels) == {n for n, (ts, _) in orig.channels.items() if ts.size}
+        assert list(loaded.channels) == list(orig.channels) == list(VARIABLE_NAMES)
         for name, (ts, vals) in orig.channels.items():
-            if not ts.size:
-                continue
-            assert np.array_equal(loaded.channels[name][0], ts)
-            assert np.array_equal(loaded.channels[name][1], vals)  # repr round-trips
+            got_ts, got_vals = loaded.channels[name]
+            assert got_ts.dtype == ts.dtype and np.array_equal(got_ts, ts)
+            assert got_vals.dtype == vals.dtype and got_vals.tobytes() == vals.tobytes()
 
 
 def test_empty_cohort_writes_header_only(tmp_path):
-    path = tmp_path / "empty.tsv"
+    path = tmp_path / "empty.bin"
     write_cohort([], path)
-    assert path.read_text() == COHORT_MAGIC + "\n"
+    assert path.read_bytes() == COHORT_MAGIC + struct.pack("<Q", 0)
     assert read_cohort(path) == []
 
 
 def test_single_value_writes_single_measurement(tmp_path):
     series = PatientSeries("adm00000", 0, None,
                            {"sofa": (np.array([3600], dtype=np.int64), np.array([4.0]))})
-    path = tmp_path / "one.tsv"
+    path = tmp_path / "one.bin"
     write_cohort([series], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == COHORT_MAGIC
-    assert lines[1] == "L\tadm00000\t0\t-"
-    assert lines[2] == "M\tadm00000\tsofa\t3600\t4.0"
-    assert len(lines) == 3
+    expected = (COHORT_MAGIC + struct.pack("<Q", 1)
+                + struct.pack("<I", 8) + b"adm00000" + struct.pack("<BBq", 0, 0, 0))
+    for name in VARIABLE_NAMES:
+        expected += struct.pack("<Qqd", 1, 3600, 4.0) if name == "sofa" else struct.pack("<Q", 0)
+    assert path.read_bytes() == expected
+    (back,) = read_cohort(path)
+    assert back.channels["sofa"][0].tolist() == [3600]
+    assert back.channels["sofa"][1].tolist() == [4.0]
+
+
+def test_write_cohort_rejects_misshapen_channels(tmp_path):
+    for ts, vals in (([10, 20], [1.0]), ([10.5], [1.0]), ([[10]], [[1.0]])):
+        series = PatientSeries("a", 0, None, {"crp": (np.array(ts), np.array(vals))})
+        with pytest.raises(SchemaError, match="a/crp"):
+            write_cohort([series], tmp_path / "bad.bin")
+
+
+def encoded(tmp_path, *series):
+    path = tmp_path / "good.bin"
+    write_cohort(list(series), path)
+    return path.read_bytes()
+
+
+def one(aid="a", label=0, fpt=None, **channels):
+    return PatientSeries(aid, label, fpt, {
+        name: (np.array(ts, dtype=np.int64), np.array(vals, dtype=float))
+        for name, (ts, vals) in channels.items()})
+
+
+def patched(blob, offset, raw):
+    return blob[:offset] + raw + blob[offset + len(raw):]
 
 
 def reject(tmp_path, body, match=None):
-    path = tmp_path / "bad.tsv"
-    path.write_text(body)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(body)
     with pytest.raises(FormatError, match=match):
         read_cohort(path)
 
 
 def test_read_cohort_rejects_corrupt_files(tmp_path):
-    head = COHORT_MAGIC + "\n"
-    reject(tmp_path, "#hemocult-cohort v0\n")
-    reject(tmp_path, head + "L\ta\t0\n")
-    reject(tmp_path, head + "L\ta\t2\t-\n")
-    reject(tmp_path, head + "L\ta\t1\t-\n")  # positive needs a culture time
-    reject(tmp_path, head + "L\ta\t0\t500\n")  # negative must not carry one
-    reject(tmp_path, head + "M\ta\tsofa\t10\t1.0\n")  # measurement before any L
-    reject(tmp_path, head + "L\ta\t0\t-\nM\tb\tsofa\t10\t1.0\n")
-    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tlactate\t10\t1.0\n")
-    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t10\t1.0\nM\ta\tsofa\t10\t2.0\n")
-    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t10\n")
-    reject(tmp_path, head + "Z\ta\n")
-    reject(tmp_path, head + "L\ta\t1\t5h\n", match="bad.tsv:2:")
-    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t10.5\t1.0\n", match="bad.tsv:3:")
-    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t10\tone\n", match="bad.tsv:3:")
-    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tsofa\t1" + "0" * 20 + "\t1.0\n",
-           match="a/sofa")
-    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\tcrp\t10\t1.0\nM\ta\tcrp\t20\tinf\n",
+    good = encoded(tmp_path, one("a", 1, 7200, crp=([10, 20], [1.0, 2.0]),
+                                 sofa=([3600], [4.0])), one("b"))
+    assert len(read_cohort(tmp_path / "good.bin")) == 2
+    head = len(COHORT_MAGIC)
+    first = head + 8  # the first admission record
+    a_channels = first + 4 + 1 + 10  # u32 id length, the id "a", label/flag/culture time
+
+    reject(tmp_path, b"#hemocult-cohort v0\n" + good[head:], match="bad cohort header")
+    reject(tmp_path, b"#hemocult-cohort v1\nL\ta\t0\t-\n", match="bad cohort header")
+    for cut in range(len(good)):  # truncation anywhere
+        reject(tmp_path, good[:cut], match="bad cohort header|truncated|cannot fit")
+    reject(tmp_path, good + b"\x00", match="1 trailing bytes")
+
+    # length fields larger than the file
+    reject(tmp_path, patched(good, head, struct.pack("<Q", 2 ** 40)), match="cannot fit")
+    reject(tmp_path, patched(good, first, struct.pack("<I", 2 ** 31)), match="truncated id")
+    reject(tmp_path, patched(good, a_channels, struct.pack("<Q", 2 ** 60)),
+           match="truncated channel a/temperature")
+    reject(tmp_path, patched(good, a_channels, struct.pack("<Q", 4)),
+           match="a/temperature|a/thrombocytes")
+
+    reject(tmp_path, patched(good, first + 4, b"\xff"), match="admission 0 is not UTF-8")
+    reject(tmp_path, encoded(tmp_path, one(label=2)), match="label of a must be 0 or 1")
+    reject(tmp_path, patched(good, first + 6, b"\x02"), match="flag of a must be 0 or 1")
+    reject(tmp_path, encoded(tmp_path, one(label=1)), match="positive admission a lacks")
+    reject(tmp_path, encoded(tmp_path, one(fpt=500)), match="negative admission a carries")
+    reject(tmp_path, encoded(tmp_path, one(sofa=([10, 10], [1.0, 2.0]))),
+           match="not strictly increasing for a/sofa")
+    reject(tmp_path, encoded(tmp_path, one(sofa=([20, 10], [1.0, 2.0]))),
+           match="not strictly increasing for a/sofa")
+    reject(tmp_path, encoded(tmp_path, one(crp=([10, 20], [1.0, np.inf]))),
            match="non-finite value for a/crp")
-    reject(tmp_path, head + "L\ta\t0\t-\nM\ta\ttemperature\t10\tnan\n",
+    reject(tmp_path, encoded(tmp_path, one(temperature=([10], [np.nan]))),
            match="non-finite value for a/temperature")
 
 

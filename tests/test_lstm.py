@@ -230,6 +230,16 @@ def test_gradients_match_finite_differences_spot():
         assert oracles.fd_gradient_worst_error(p, X, label, grads) < 1e-6
 
 
+def test_fd_oracle_rejects_nan_gradient():
+    p, rng = noisy_params(1, 101)
+    X = rng.normal(size=(72, 9))
+    _, cache = forward_batch(X[None, :, :], p)
+    _, grads = backward_batch(cache["X"], np.array([1.0]), p, 8.0, 1.0, cache)
+    assert oracles.fd_gradient_worst_error(p, X, 1, grads) < 1e-6
+    grads.fwd.U[0, 0] = np.nan
+    assert not oracles.fd_gradient_worst_error(p, X, 1, grads) < 1e-6
+
+
 def test_init_params_layout():
     H = 7
     p = init_params(H, 42)
@@ -302,3 +312,15 @@ def test_checkpoint_corruption_detected(tmp_path):
     lied.write_bytes(blob[:magic_len] + struct.pack("<I", 3) + blob[magic_len + 4:])
     with pytest.raises(CheckpointError):
         load_params(lied)
+
+    name_at = blob.index(b"fwd_U")
+    non_utf8 = tmp_path / "name.ckpt"
+    non_utf8.write_bytes(blob[:name_at] + b"\xff" + blob[name_at + 1:])
+    with pytest.raises(CheckpointError, match="block"):
+        load_params(non_utf8)
+
+    ndim_at = blob.index(b"fwd_b") + len(b"fwd_b")
+    too_many_dims = tmp_path / "ndim.ckpt"
+    too_many_dims.write_bytes(blob[:ndim_at] + struct.pack("<I", 70) + blob[ndim_at + 4:])
+    with pytest.raises(CheckpointError, match="dimensions"):
+        load_params(too_many_dims)

@@ -302,6 +302,10 @@ def test_stats_file_validation(tmp_path):
         bad_row.write_text(f"variable\tavg\tstd\n{row}\n")
         with pytest.raises(FormatError, match="r.tsv:2:"):
             read_stats(bad_row)
+    non_utf8 = tmp_path / "n.tsv"
+    non_utf8.write_bytes(b"variable\tavg\tstd\ncrp\t1.0\t\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        read_stats(non_utf8)
 
 
 def test_tensor_cache_roundtrip(tmp_path):
@@ -340,3 +344,10 @@ def test_tensor_cache_validation(tmp_path):
     bad_label.write_bytes(bytes(flipped))
     with pytest.raises(TensorCacheError):
         read_tensors(bad_label)
+
+    flipped = bytearray(blob)
+    flipped[len(b"#hemocult-tensors v1\n") + 4] = 0xFF  # the 1-char id
+    bad_id = tmp_path / "id.bin"
+    bad_id.write_bytes(bytes(flipped))
+    with pytest.raises(TensorCacheError, match="not UTF-8"):
+        read_tensors(bad_id)
