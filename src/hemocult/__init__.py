@@ -11,9 +11,8 @@ from .metrics import (EvalReport, PRCurve, baseline_constant,
 from .prep import (NormStats, SampleTensor, build_tensor, filter_outliers,
                    fit_normalizer, normalize, read_tensors, resample_channel,
                    select_end_time, write_tensors)
-from .training import (Ensemble, FoldPlan, HyperParams, TrainResult,
-                       ensemble_predict, ensemble_scores, grid_search,
-                       make_folds, stratified_split, train_one)
+from .training import (FoldPlan, HyperParams, TrainResult, ensemble_scores,
+                       grid_search, make_folds, stratified_split, train_one)
 
 __all__ = [
     "CohortConfig", "PatientSeries", "generate_cohort", "read_cohort", "write_cohort",
@@ -24,7 +23,6 @@ __all__ = [
     "NormStats", "SampleTensor", "build_tensor", "filter_outliers",
     "fit_normalizer", "normalize", "read_tensors", "resample_channel",
     "select_end_time", "write_tensors",
-    "Ensemble", "FoldPlan", "HyperParams", "TrainResult", "ensemble_predict",
-    "ensemble_scores", "grid_search", "make_folds",
-    "stratified_split", "train_one",
+    "FoldPlan", "HyperParams", "TrainResult", "ensemble_scores",
+    "grid_search", "make_folds", "stratified_split", "train_one",
 ]

@@ -33,9 +33,8 @@ from .metrics import (EvalReport, baseline_constant, baseline_proportional,
                       export_curve, export_curve_svg, pr_curve)
 from .prep import (build_tensor, filter_outliers, fit_normalizer,
                    read_tensors, write_stats, write_tensors)
-from .training import (GRID_HIDDEN, GRID_LR, Ensemble, HyperParams,
-                       ensemble_scores, grid_search, make_folds,
-                       stratified_split)
+from .training import (GRID_HIDDEN, GRID_LR, HyperParams, ensemble_scores,
+                       grid_search, make_folds, stratified_split)
 
 SPLIT_SEED_OFFSET = 1_000_003
 BASELINE2_SEED_OFFSET = 2_000_003
@@ -210,18 +209,18 @@ def _train_tensors(train_tensors, prep_dir: Path, run_dir: Path, master_seed: in
     cells = grid_cells if use_grid else [(hyper.hidden_size, hyper.learning_rate)]
     result = grid_search(train_tensors, plan, hyper, grid=cells, jobs=jobs)
     best = result.best
-    ensemble = Ensemble(members=[r.params for r in result.results])
+    members = [r.params for r in result.results]
     cell_mean = next(m for h, lr, m in result.cell_means
                      if h == best.hidden_size and lr == best.learning_rate)
     _write_run_config(run_dir, master_seed, best, use_grid, grid_cells, folds_k, jobs,
                       extra=_prep_digests(prep_dir))
     _write_cv_table(run_dir, result.rows)
-    for fold, member in enumerate(ensemble.members):
+    for fold, member in enumerate(members):
         save_params(member, run_dir / f"ensemble_fold{fold}.ckpt")
     _write_manifest(run_dir)
     summary = (f"hidden={best.hidden_size} lr={best.learning_rate!r} "
                f"cv_pr_auc={cell_mean!r} folds={folds_k}")
-    return ensemble, best, summary
+    return members, best, summary
 
 
 def _read_manifest(run_dir: Path):
@@ -241,51 +240,51 @@ def _read_run_config(run_dir: Path):
         return dict(line.rstrip("\n").partition("=")[::2] for line in fh)
 
 
-def _run_folds(run_dir: Path) -> int:
-    value = _read_run_config(run_dir).get("folds", "")
-    if not value.isdecimal():
-        raise CheckpointError(f"{run_dir}/config.txt: no folds= entry")
-    return int(value)
+def _check_listed(run_dir: Path, listed, name):
+    if listed.get(name) != _sha256(run_dir / name):
+        raise CheckpointError(f"{run_dir}: {name} does not match manifest.txt")
 
 
-def _check_prep(run_dir: Path, prep_dir: Path):
-    """The prep files must be the ones the run was trained on."""
-    recorded = _read_run_config(run_dir)
-    for key, digest in _prep_digests(prep_dir).items():
-        if recorded.get(key) != digest:
-            name = key.partition(".")[2]
-            raise ContractViolationError(
-                f"{prep_dir / name} is not the file {run_dir} was trained on "
-                f"(sha256 differs from {key} in config.txt)")
+def _load_ensemble(run_dir: Path, prep_dir: Path):
+    """Folds 0..k-1 of the run, trained on the files in prep_dir.
 
-
-def _load_ensemble(run_dir: Path) -> Ensemble:
-    """Exactly folds 0..k-1 of the run, each matching its manifest digest."""
+    config.txt and each checkpoint must match their manifest.txt digests;
+    config.txt is checked before it is parsed.
+    """
     found = {p.name for p in run_dir.glob("ensemble_fold*.ckpt")}
     if not found:
         raise CheckpointError(f"{run_dir}: no ensemble checkpoints found")
     try:
-        k = _run_folds(run_dir)
         listed = _read_manifest(run_dir)
+        _check_listed(run_dir, listed, "config.txt")
+        config = _read_run_config(run_dir)
     except FileNotFoundError as exc:
         raise CheckpointError(f"{run_dir}: {Path(exc.filename).name} is missing") from None
-    names = [f"ensemble_fold{fold}.ckpt" for fold in range(k)]
+    if not config.get("folds", "").isdecimal():
+        raise CheckpointError(f"{run_dir}/config.txt: no folds= entry")
+    k = int(config["folds"])
+    # k comes from a file, so no name list is built before the count agrees
+    names = [f"ensemble_fold{fold}.ckpt" for fold in range(k)] if len(found) == k else []
     if found != set(names):
         raise CheckpointError(
             f"{run_dir}: checkpoints {sorted(found)} do not match folds=0..{k - 1} in config.txt")
     for name in names:
-        if listed.get(name) != _sha256(run_dir / name):
-            raise CheckpointError(f"{run_dir}: {name} does not match manifest.txt")
+        _check_listed(run_dir, listed, name)
     members = [load_params(run_dir / name) for name in names]
     if len({m.hidden_size for m in members}) != 1:
         raise CheckpointError(f"{run_dir}: ensemble members disagree on hidden size")
-    return Ensemble(members=members)
+    for key, digest in _prep_digests(prep_dir).items():
+        if config.get(key) != digest:
+            raise ContractViolationError(
+                f"{prep_dir / key.partition('.')[2]} is not the file {run_dir} was trained on "
+                f"(sha256 differs from {key} in config.txt)")
+    return members
 
 
-def _evaluate_ensemble(ensemble: Ensemble, test_tensors, out_dir: Path, baseline2_seed: int):
+def _evaluate_ensemble(members, test_tensors, out_dir: Path, baseline2_seed: int):
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = np.array([t.label for t in test_tensors], dtype=int)
-    scores = ensemble_scores(ensemble, test_tensors)
+    scores = ensemble_scores(members, test_tensors)
     curve = pr_curve(scores, labels)
     baseline1 = baseline_constant(labels)
     baseline2 = baseline_proportional(labels, seed=baseline2_seed)
@@ -349,10 +348,9 @@ def cmd_evaluate(args) -> int:
     by_partition = _load_partitioned_tensors(Path(args.tensors))
     if not by_partition["test"]:
         raise ConfigError("no test tensors in the cache")
-    ensemble = _load_ensemble(Path(args.run_dir))
-    _check_prep(Path(args.run_dir), Path(args.tensors))
+    members = _load_ensemble(Path(args.run_dir), Path(args.tensors))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.run_dir)
-    _, summary = _evaluate_ensemble(ensemble, by_partition["test"], out_dir,
+    _, summary = _evaluate_ensemble(members, by_partition["test"], out_dir,
                                     baseline2_seed=args.seed + BASELINE2_SEED_OFFSET)
     print(summary)
     return 0
@@ -368,11 +366,11 @@ def cmd_pipeline(args) -> int:
         cohort, out / "prep", args.seed, args.test_fraction)
     del cohort
     hyper = _configured(HyperParams, args)
-    ensemble, _, _ = _train_tensors(
+    members, _, _ = _train_tensors(
         by_partition["train"], out / "prep", out / "run", args.seed, hyper,
         use_grid=args.grid, grid_cells=_grid_cells_from(args),
         folds_k=args.folds, jobs=args.jobs)
-    _, summary = _evaluate_ensemble(ensemble, by_partition["test"], out / "eval",
+    _, summary = _evaluate_ensemble(members, by_partition["test"], out / "eval",
                                     baseline2_seed=args.seed + BASELINE2_SEED_OFFSET)
     print(summary)
     return 0

@@ -27,21 +27,19 @@ Every channel is stored, empty ones included, so a read gives back exactly
 the series that were written.
 """
 
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .blocks import F64, I64, U32, U64, BlockReader
 from .errors import ConfigError, FormatError, SchemaError
 from .variables import BY_NAME, VARIABLE_NAMES
 
 COHORT_MAGIC = b"#hemocult-cohort v2\n"
-_COUNT = struct.Struct("<Q")
-_ID_LEN = struct.Struct("<I")
 _ADMISSION = struct.Struct("<BBq")  # label, has culture time, culture time (0 if none)
-_MIN_ADMISSION_BYTES = _ID_LEN.size + _ADMISSION.size + len(VARIABLE_NAMES) * _COUNT.size
+_MIN_ADMISSION_BYTES = U32.size + _ADMISSION.size + len(VARIABLE_NAMES) * U64.size
 _EMPTY_CHANNEL = (np.empty(0, dtype=np.int64), np.empty(0))
 
 # samples per hour; vitals at monitor cadence, labs twice a day, SOFA daily
@@ -208,11 +206,11 @@ def write_cohort(cohort: List[PatientSeries], path):
     """
     with open(path, "wb") as fh:
         fh.write(COHORT_MAGIC)
-        fh.write(_COUNT.pack(len(cohort)))
+        fh.write(U64.pack(len(cohort)))
         for series in cohort:
             raw_id = series.admission_id.encode("utf-8")
             fpt = series.first_positive_time
-            fh.write(_ID_LEN.pack(len(raw_id)))
+            fh.write(U32.pack(len(raw_id)))
             fh.write(raw_id)
             fh.write(_ADMISSION.pack(series.label, fpt is not None, 0 if fpt is None else fpt))
             for name in VARIABLE_NAMES:
@@ -222,87 +220,46 @@ def write_cohort(cohort: List[PatientSeries], path):
                     # the file stores one count for both arrays and integer seconds
                     raise SchemaError(f"{series.admission_id}/{name}: want 1-d integer "
                                       f"timestamps and as many values")
-                fh.write(_COUNT.pack(ts.size))
-                fh.write(np.ascontiguousarray(ts, dtype="<i8"))
-                fh.write(np.ascontiguousarray(vals, dtype="<f8"))
+                fh.write(U64.pack(ts.size))
+                fh.write(np.ascontiguousarray(ts, dtype=I64))
+                fh.write(np.ascontiguousarray(vals, dtype=F64))
 
 
-class _CohortReader:
-    """Reads a cohort file front to back; every length is checked before it allocates."""
+def _read_channel(reader: BlockReader, where):
+    (count,) = reader.unpack(U64, f"channel header of {where}")
+    ts = reader.array(count, I64, f"channel {where}")
+    vals = reader.array(count, F64, f"channel {where}")
+    if count > 1 and not np.all(ts[1:] > ts[:-1]):
+        raise reader.error(f"timestamps not strictly increasing for {where}")
+    if not np.all(np.isfinite(vals)):
+        raise reader.error(f"non-finite value for {where}")
+    return ts, vals
 
-    def __init__(self, fh, path):
-        self.fh, self.path = fh, path
-        self.left = os.fstat(fh.fileno()).st_size
 
-    def error(self, message) -> FormatError:
-        return FormatError(f"{self.path}: {message}")
-
-    def take(self, n, what):
-        if n > self.left:
-            raise self.error(f"truncated {what}: needs {n} bytes, {self.left} left")
-        self.left -= n
-
-    def unpack(self, layout: struct.Struct, what):
-        self.take(layout.size, what)
-        raw = self.fh.read(layout.size)
-        if len(raw) != layout.size:
-            raise self.error(f"truncated {what}")
-        return layout.unpack(raw)
-
-    def array(self, count, dtype, what) -> np.ndarray:
-        out = np.empty(count, dtype=dtype)
-        if self.fh.readinto(out) != out.nbytes:
-            raise self.error(f"truncated {what}")
-        return out
-
-    def channel(self, where):
-        (count,) = self.unpack(_COUNT, f"channel header of {where}")
-        self.take(count * 16, f"channel {where}")
-        ts = self.array(count, "<i8", f"timestamps of {where}")
-        vals = self.array(count, "<f8", f"values of {where}")
-        if count > 1 and not np.all(ts[1:] > ts[:-1]):
-            raise self.error(f"timestamps not strictly increasing for {where}")
-        if not np.all(np.isfinite(vals)):
-            raise self.error(f"non-finite value for {where}")
-        return ts, vals
-
-    def admission(self, index) -> PatientSeries:
-        (id_len,) = self.unpack(_ID_LEN, f"header of admission {index}")
-        self.take(id_len, f"id of admission {index}")
-        raw_id = self.fh.read(id_len)
-        if len(raw_id) != id_len:
-            raise self.error(f"truncated id of admission {index}")
-        try:
-            aid = raw_id.decode("utf-8")
-        except UnicodeDecodeError:
-            raise self.error(f"id of admission {index} is not UTF-8") from None
-        label, has_fpt, fpt = self.unpack(_ADMISSION, f"header of {aid}")
-        if label not in (0, 1):
-            raise self.error(f"label of {aid} must be 0 or 1, got {label}")
-        if has_fpt not in (0, 1):
-            raise self.error(f"culture-time flag of {aid} must be 0 or 1, got {has_fpt}")
-        if label == 1 and not has_fpt:
-            raise self.error(f"positive admission {aid} lacks a culture time")
-        if label == 0 and has_fpt:
-            raise self.error(f"negative admission {aid} carries a culture time")
-        channels = {name: self.channel(f"{aid}/{name}") for name in VARIABLE_NAMES}
-        return PatientSeries(aid, label, fpt if has_fpt else None, channels)
+def _read_admission(reader: BlockReader, index) -> PatientSeries:
+    (id_len,) = reader.unpack(U32, f"header of admission {index}")
+    aid = reader.text(id_len, f"id of admission {index}")
+    label, has_fpt, fpt = reader.unpack(_ADMISSION, f"header of {aid}")
+    if label not in (0, 1):
+        raise reader.error(f"label of {aid} must be 0 or 1, got {label}")
+    if has_fpt not in (0, 1):
+        raise reader.error(f"culture-time flag of {aid} must be 0 or 1, got {has_fpt}")
+    if label == 1 and not has_fpt:
+        raise reader.error(f"positive admission {aid} lacks a culture time")
+    if label == 0 and has_fpt:
+        raise reader.error(f"negative admission {aid} carries a culture time")
+    channels = {name: _read_channel(reader, f"{aid}/{name}") for name in VARIABLE_NAMES}
+    return PatientSeries(aid, label, fpt if has_fpt else None, channels)
 
 
 def read_cohort(path) -> List[PatientSeries]:
     """Inverse of write_cohort; a malformed file raises FormatError."""
     with open(path, "rb") as fh:
-        reader = _CohortReader(fh, path)
-        magic = fh.read(len(COHORT_MAGIC))
-        if magic != COHORT_MAGIC:
-            raise FormatError(f"{path}: bad cohort header {magic!r}")
-        reader.left -= len(magic)
-        (n_admissions,) = reader.unpack(_COUNT, "admission count")
-        if n_admissions * _MIN_ADMISSION_BYTES > reader.left:
-            raise reader.error(f"{n_admissions} admissions cannot fit in {reader.left} bytes")
-        cohort = [reader.admission(index) for index in range(n_admissions)]
-        if reader.left:
-            raise reader.error(f"{reader.left} trailing bytes after the last admission")
+        reader = BlockReader(fh, path, FormatError)
+        reader.magic(COHORT_MAGIC, "cohort header")
+        n_admissions = reader.count(_MIN_ADMISSION_BYTES, "admission count")
+        cohort = [_read_admission(reader, index) for index in range(n_admissions)]
+        reader.finish("the last admission")
     return cohort
 
 

@@ -16,6 +16,15 @@ function, the last H rows get tanh. Cell recurrences:
 
 Batched entry points take (B, T, n) arrays; the per-example API wraps a
 batch of one. Initial hidden and cell states are zero.
+
+Checkpoint layout, all fields little-endian:
+
+    magic  b"#hemocult-model v1\\n"
+    u32 hidden size H, u32 block count (8)
+    per block, in the order fwd_W, fwd_U, fwd_b, bwd_W, bwd_U, bwd_b, head_w, head_b:
+        u32 name length, name bytes (UTF-8)
+        u32 ndim (1 or 2), ndim x u32 shape
+        f64 values, row-major
 """
 
 import math
@@ -25,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .blocks import F64, U32, BlockReader
 from .errors import CheckpointError, ContractViolationError, ShapeError
 
 N_INPUTS = 9
@@ -34,6 +44,8 @@ _SCORE_LO = float(np.nextafter(0.0, 1.0))
 _SCORE_HI = float(np.nextafter(1.0, 0.0))
 
 CHECKPOINT_MAGIC = b"#hemocult-model v1\n"
+_HEADER = struct.Struct("<II")  # hidden size, block count
+_SHAPES = {1: struct.Struct("<I"), 2: struct.Struct("<II")}  # block shape by ndim
 _BLOCK_NAMES = ("fwd_W", "fwd_U", "fwd_b", "bwd_W", "bwd_U", "bwd_b", "head_w", "head_b")
 
 
@@ -313,51 +325,35 @@ def weighted_mse(scores, labels, w_pos: float, w_neg: float) -> float:
 def save_params(p: ModelParams, path):
     """Write a checkpoint; read-back is bit-identical."""
     p.validate()
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", p.hidden_size, len(_BLOCK_NAMES))]
+    chunks = [CHECKPOINT_MAGIC, _HEADER.pack(p.hidden_size, len(_BLOCK_NAMES))]
     for name, arr in p.named_arrays():
         raw = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        chunks += [U32.pack(len(raw)), raw, U32.pack(arr.ndim), _SHAPES[arr.ndim].pack(*arr.shape),
+                   np.ascontiguousarray(arr, dtype=F64).tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
 
 def load_params(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path}: bad checkpoint magic")
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        piece = blob[off:off + n]
-        off += n
-        return piece
-
-    hidden, nblocks = struct.unpack("<II", take(8))
-    if nblocks != len(_BLOCK_NAMES):
-        raise CheckpointError(f"{path}: expected {len(_BLOCK_NAMES)} blocks, found {nblocks}")
+    """Inverse of save_params; a malformed or inconsistent file raises CheckpointError."""
     arrays = {}
-    for expected in _BLOCK_NAMES:
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len)
-        if name != expected.encode("utf-8"):
-            raise CheckpointError(f"{path}: block {name!r} where {expected!r} expected")
-        (ndim,) = struct.unpack("<I", take(4))
-        if ndim not in (1, 2):
-            raise CheckpointError(f"{path}: block {expected!r} has {ndim} dimensions")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = math.prod(shape)
-        data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-        arrays[expected] = data
-    if off != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after last block")
+    with open(path, "rb") as fh:
+        reader = BlockReader(fh, path, CheckpointError)
+        reader.magic(CHECKPOINT_MAGIC, "checkpoint magic")
+        hidden, nblocks = reader.unpack(_HEADER, "checkpoint header")
+        if nblocks != len(_BLOCK_NAMES):
+            raise reader.error(f"expected {len(_BLOCK_NAMES)} blocks, found {nblocks}")
+        for expected in _BLOCK_NAMES:
+            (name_len,) = reader.unpack(U32, f"header of block {expected!r}")
+            name = reader.raw(name_len, f"name of block {expected!r}")
+            if name != expected.encode("utf-8"):
+                raise reader.error(f"block {name!r} where {expected!r} expected")
+            (ndim,) = reader.unpack(U32, f"ndim of block {expected!r}")
+            if ndim not in _SHAPES:
+                raise reader.error(f"block {expected!r} has {ndim} dimensions")
+            shape = reader.unpack(_SHAPES[ndim], f"shape of block {expected!r}")
+            arrays[expected] = reader.array(math.prod(shape), F64, f"block {expected}").reshape(shape)
+        reader.finish("the last block")
     p = ModelParams(
         CellParams(arrays["fwd_W"], arrays["fwd_U"], arrays["fwd_b"]),
         CellParams(arrays["bwd_W"], arrays["bwd_U"], arrays["bwd_b"]),

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import ShapeError, UndefinedRecallError
+from .errors import FormatError, ShapeError, UndefinedRecallError
 
 
 @dataclass
@@ -122,20 +122,21 @@ def export_curve(curve: PRCurve, path):
 
 
 def import_curve(path) -> PRCurve:
-    points = []
-    auc = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "threshold,recall,precision":
-                continue
-            if line.startswith("# auc="):
-                auc = float(line.split("=", 1)[1])
-                continue
-            threshold, recall, precision = (float(tok) for tok in line.split(","))
-            points.append((recall, precision, threshold))
+    """Inverse of export_curve; a malformed file raises FormatError naming the line."""
+    points, auc, lineno = [], None, 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line.startswith("# auc="):
+                    auc = float(line.split("=", 1)[1])
+                elif line and line != "threshold,recall,precision":
+                    threshold, recall, precision = (float(tok) for tok in line.split(","))
+                    points.append((recall, precision, threshold))
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise FormatError(f"{path}:{lineno}: malformed row: {exc}") from None
     if auc is None:
-        raise OSError(f"{path}: missing auc footer")
+        raise FormatError(f"{path}:{lineno + 1}: missing `# auc=` footer")
     return PRCurve(points=points, auc=auc)
 
 

@@ -9,6 +9,14 @@ bins after the first occupied one, and zero-fill before it.
 
 Bin k covers [end - (72-k) h, end - (71-k) h), half-open on the right,
 except bin 71 which is closed at the window end.
+
+Tensor cache layout (tensors.bin), all fields little-endian:
+
+    magic  b"#hemocult-tensors v1\\n"
+    per record, until the end of the file:
+        u32 id length, id bytes (UTF-8)
+        u8 label (0/1)
+        72 x 9 f64 values, row-major (bin, then variable column)
 """
 
 import struct
@@ -17,6 +25,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .blocks import F64, U32, BlockReader
 from .cohort import PatientSeries
 from .errors import (EmptySeriesError, FitError, FormatError, SchemaError,
                      ShapeError, TensorCacheError)
@@ -24,6 +33,7 @@ from .variables import (BIN_SECONDS, BY_NAME, N_BINS, N_VARIABLES,
                         VARIABLES, VariableSpec, WINDOW_SECONDS)
 
 TENSOR_MAGIC = b"#hemocult-tensors v1\n"
+_LABEL = struct.Struct("<B")
 
 
 @dataclass
@@ -205,46 +215,32 @@ def read_stats(path) -> NormStats:
 
 
 def write_tensors(tensors: List[SampleTensor], path):
-    """Binary cache: magic, then per record id, label byte, 648 LE doubles."""
+    """Binary cache; see the module docstring for the layout."""
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         for tensor in tensors:
             tensor.validate()
             raw_id = tensor.admission_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw_id)))
+            fh.write(U32.pack(len(raw_id)))
             fh.write(raw_id)
-            fh.write(struct.pack("<B", tensor.label))
-            fh.write(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
+            fh.write(_LABEL.pack(tensor.label))
+            fh.write(np.ascontiguousarray(tensor.values, dtype=F64).tobytes())
 
 
 def read_tensors(path) -> List[SampleTensor]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(TENSOR_MAGIC):
-        raise TensorCacheError(f"{path}: bad tensor cache magic")
-    off = len(TENSOR_MAGIC)
-    body = N_BINS * N_VARIABLES * 8
+    """Inverse of write_tensors; a malformed file raises TensorCacheError."""
     tensors = []
-    while off < len(blob):
-        if off + 4 > len(blob):
-            raise TensorCacheError(f"{path}: truncated record header")
-        (id_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + id_len + 1 + body > len(blob):
-            raise TensorCacheError(f"{path}: truncated record")
-        try:
-            admission_id = blob[off:off + id_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise TensorCacheError(f"{path}: admission id at byte {off} is not UTF-8") from None
-        off += id_len
-        label = blob[off]
-        off += 1
-        if label not in (0, 1):
-            raise TensorCacheError(f"{path}: label byte {label} for {admission_id}")
-        values = np.frombuffer(blob, dtype="<f8", count=N_BINS * N_VARIABLES,
-                               offset=off).reshape(N_BINS, N_VARIABLES).copy()
-        off += body
-        tensors.append(SampleTensor(values=values, label=int(label), admission_id=admission_id))
+    with open(path, "rb") as fh:
+        reader = BlockReader(fh, path, TensorCacheError)
+        reader.magic(TENSOR_MAGIC, "tensor cache magic")
+        while reader.left:
+            (id_len,) = reader.unpack(U32, "record header")
+            admission_id = reader.text(id_len, "admission id")
+            (label,) = reader.unpack(_LABEL, "label byte")
+            if label not in (0, 1):
+                raise reader.error(f"label byte {label} for {admission_id}")
+            values = reader.array(N_BINS * N_VARIABLES, F64, f"values of {admission_id}")
+            tensors.append(SampleTensor(values.reshape(N_BINS, N_VARIABLES), label, admission_id))
     return tensors
 
 

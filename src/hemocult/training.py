@@ -75,13 +75,6 @@ class TrainResult:
     best_val: float
 
 
-@dataclass
-class Ensemble:
-    """One model per fold, in fold order."""
-
-    members: List[lstm.ModelParams]
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -144,12 +137,6 @@ def _score_matrix(params: lstm.ModelParams, X: np.ndarray, chunk: int = 256) -> 
         piece = np.ascontiguousarray(X[lo:lo + chunk])
         scores[lo:lo + chunk], _ = lstm.forward_batch(piece, params)
     return scores
-
-
-def score_tensors(params: lstm.ModelParams, tensors: Sequence[SampleTensor],
-                  chunk: int = 256) -> np.ndarray:
-    X = np.stack([t.values for t in tensors])
-    return _score_matrix(params, X, chunk)
 
 
 def train_one(train_tensors: Sequence[SampleTensor], val_tensors: Sequence[SampleTensor],
@@ -296,22 +283,18 @@ def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperPara
     return GridResult(best=best, cell_means=cell_means, rows=rows, results=best_results)
 
 
-def ensemble_scores(ensemble: Ensemble, tensors: Sequence[SampleTensor],
+def ensemble_scores(members: Sequence[lstm.ModelParams], tensors: Sequence[SampleTensor],
                     chunk: int = 256) -> np.ndarray:
     """Arithmetic mean of member scores, members in fixed fold order."""
-    if not ensemble.members:
+    if not members:
         raise ContractViolationError("ensemble has no members")
     X = np.stack([t.values for t in tensors])
-    stacked = np.stack([_score_matrix(m, X, chunk) for m in ensemble.members])
+    stacked = np.stack([_score_matrix(m, X, chunk) for m in members])
     return stacked.mean(axis=0)
 
 
-def ensemble_predict(ensemble: Ensemble, tensor: SampleTensor) -> float:
-    return float(ensemble_scores(ensemble, [tensor])[0])
-
-
 __all__ = [
-    "HyperParams", "FoldPlan", "TrainResult", "Ensemble", "GridResult",
+    "HyperParams", "FoldPlan", "TrainResult", "GridResult",
     "GRID_HIDDEN", "GRID_LR", "stratified_split", "make_folds", "train_one",
-    "train_folds", "grid_search", "ensemble_scores", "ensemble_predict", "score_tensors",
+    "train_folds", "grid_search", "ensemble_scores",
 ]

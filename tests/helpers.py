@@ -1,10 +1,13 @@
 """Shared builders for the test suite."""
 
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
+from hemocult.cli import entrypoint
 from hemocult.prep import SampleTensor
 
 
@@ -26,3 +29,11 @@ def run_cli(*args):
     """Run the CLI in a fresh interpreter; returns the completed process."""
     return subprocess.run([sys.executable, "-m", "hemocult", *map(str, args)],
                           capture_output=True, text=True)
+
+
+def run_inprocess(*argv):
+    """Run the CLI in this interpreter; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = entrypoint([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()

@@ -4,7 +4,9 @@ A small valid cohort, tensor cache or checkpoint is truncated at a random
 offset or has one random byte flipped. The reader must either return or
 raise its own error type, never anything else, and its traced memory must
 stay within a small multiple of the file size: a length field is checked
-against the bytes left before anything is allocated from it.
+against the bytes left before anything is allocated from it. The same
+damage to a trained run's tensors.bin or checkpoint must end `evaluate` in
+a documented exit code, never in a traceback.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import run_inprocess
 from hemocult.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from hemocult.errors import CheckpointError, FormatError, TensorCacheError
 from hemocult.lstm import init_params, load_params, save_params
@@ -53,6 +56,15 @@ def valid_files(tmp_path_factory):
     return root, blobs
 
 
+def _mutate(blob, data):
+    """blob truncated at a drawn offset, or with the byte there xor-ed with a drawn mask."""
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:offset]
+    mask = data.draw(st.integers(1, 255), label="xor mask")
+    return blob[:offset] + bytes([blob[offset] ^ mask]) + blob[offset + 1:]
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -60,12 +72,7 @@ def test_mutated_file_returns_or_raises_own_error(valid_files, name, data):
     root, blobs = valid_files
     _, read, own_error = READERS[name]
     blob = blobs[name]
-    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
-    if data.draw(st.booleans(), label="truncate"):
-        mutated = blob[:offset]
-    else:
-        mask = data.draw(st.integers(1, 255), label="xor mask")
-        mutated = blob[:offset] + bytes([blob[offset] ^ mask]) + blob[offset + 1:]
+    mutated = _mutate(blob, data)
     path = root / f"mutated_{name}"
     path.write_bytes(mutated)
     tracemalloc.start()
@@ -77,3 +84,39 @@ def test_mutated_file_returns_or_raises_own_error(valid_files, name, data):
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     assert peak <= 3 * len(blob) + 64 * 1024, f"peak {peak} bytes for a {len(mutated)}-byte file"
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A tiny generate -> preprocess -> train chain whose files the CLI fuzz damages."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    steps = [
+        ("generate", "--out", root / "cohort.bin", "--seed", 7, "--n", 24, "--positives", 8,
+         "--horizon", "6:12"),
+        ("preprocess", "--cohort", root / "cohort.bin", "--out-dir", root / "prep", "--seed", 7,
+         "--test-fraction", 0.25),
+        ("train", "--tensors", root / "prep", "--run-dir", root / "run", "--seed", 7,
+         "--hidden", 1, "--max-epochs", 1, "--folds", 2),
+        ("evaluate", "--tensors", root / "prep", "--run-dir", root / "run",
+         "--out-dir", root / "eval"),
+    ]
+    for argv in steps:
+        assert run_inprocess(*argv)[0] == 0, argv
+    return root
+
+
+@pytest.mark.parametrize("artifact", ["prep/tensors.bin", "run/ensemble_fold1.ckpt"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_evaluate_on_mutated_artifact_exits_with_documented_code(trained_run, artifact, data):
+    path = trained_run / artifact
+    blob = path.read_bytes()
+    try:
+        path.write_bytes(_mutate(blob, data))
+        code, _, err = run_inprocess("evaluate", "--tensors", trained_run / "prep",
+                                     "--run-dir", trained_run / "run",
+                                     "--out-dir", trained_run / "eval")
+    finally:
+        path.write_bytes(blob)
+    assert code in (0, 3, 6)
+    assert code == 0 or err.startswith("error:")

@@ -4,12 +4,13 @@ import math
 import re
 import shutil
 from argparse import Namespace
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from helpers import run_inprocess as run
 from hemocult import training
 from hemocult.cli import _grid_cells_from, entrypoint
 from hemocult.cohort import read_cohort
@@ -21,13 +22,6 @@ SUMMARY_RE = re.compile(
 
 TINY_COHORT = ["--n", "40", "--positives", "16", "--horizon", "6:18"]
 TINY_TRAIN = ["--hidden", "2", "--lr", "0.05", "--max-epochs", "2", "--folds", "4"]
-
-
-def run(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = entrypoint([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
 
 
 def sha256(path):
@@ -344,12 +338,30 @@ def _drop_manifest(run_dir):
     (run_dir / "manifest.txt").unlink()
 
 
+def _edit_folds(run_dir):
+    config = run_dir / "config.txt"
+    config.write_text(config.read_text().replace("folds=4\n", "folds=1000000000000\n"))
+
+
+def _edit_folds_and_manifest(run_dir):
+    # a matching manifest leaves only the count check between folds= and 10**12 names
+    _edit_folds(run_dir)
+    lines = (run_dir / "manifest.txt").read_text().splitlines(keepends=True)
+    digest = sha256(run_dir / "config.txt")
+    (run_dir / "manifest.txt").write_text("".join(
+        f"{digest}  config.txt\n" if line.endswith("  config.txt\n") else line
+        for line in lines))
+
+
 @pytest.mark.parametrize("damage, message", [
     (_drop_folds_1_and_2, "do not match folds=0..3"),
     (_add_stale_fold4, "do not match folds=0..3"),
     (_flip_one_byte, "ensemble_fold3.ckpt does not match manifest.txt"),
     (_drop_manifest, "manifest.txt is missing"),
-], ids=["missing_folds", "stale_fold", "flipped_byte", "no_manifest"])
+    (_edit_folds, "config.txt does not match manifest.txt"),
+    (_edit_folds_and_manifest, "do not match folds=0..999999999999"),
+], ids=["missing_folds", "stale_fold", "flipped_byte", "no_manifest", "edited_folds",
+        "edited_folds_and_manifest"])
 def test_evaluate_refuses_incomplete_or_altered_ensemble(workspace, tmp_path, damage, message):
     root = workspace["root"]
     run_copy = tmp_path / "run"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hemocult.errors import ShapeError, UndefinedRecallError
+from hemocult.errors import FormatError, ShapeError, UndefinedRecallError
 from hemocult.metrics import (EvalReport, baseline_constant,
                               baseline_proportional, export_curve,
                               export_curve_svg, import_curve, pr_auc, pr_curve)
@@ -141,6 +141,19 @@ def test_export_import_roundtrip(tmp_path):
     back = import_curve(path)
     assert back.points == curve.points
     assert back.auc == curve.auc
+
+
+@pytest.mark.parametrize("body, where", [
+    (b"threshold,recall,precision\n0.9,1.0\n# auc=1.0\n", ":2: malformed row"),
+    (b"threshold,recall,precision\n0.9,x,1.0\n# auc=1.0\n", ":2: malformed row"),
+    (b"threshold,recall,precision\n0.9,1.0,1.0\n", ":3: missing `# auc=` footer"),
+    (b"threshold,recall,precision\n0.9,1.0,1.0\n# auc=1.0\xff\n", ":3: malformed row"),
+], ids=["short_row", "non_numeric", "no_footer", "non_utf8"])
+def test_import_curve_rejects_malformed_files(tmp_path, body, where):
+    path = tmp_path / "curve.csv"
+    path.write_bytes(body)
+    with pytest.raises(FormatError, match=f"curve.csv{where}"):
+        import_curve(path)
 
 
 def test_export_file_shape(tmp_path):

@@ -11,10 +11,9 @@ from helpers import make_tensors
 from hemocult import lstm, training
 from hemocult.errors import (ConfigError, ContractViolationError, FoldError,
                              StratificationError, TrainingDivergence)
-from hemocult.training import (Ensemble, FoldPlan, HyperParams, TrainResult,
-                               ensemble_predict, ensemble_scores, grid_search,
-                               make_folds, score_tensors, stratified_split,
-                               train_folds, train_one)
+from hemocult.training import (FoldPlan, HyperParams, TrainResult,
+                               ensemble_scores, grid_search, make_folds,
+                               stratified_split, train_folds, train_one)
 
 
 def fake_ids(n, n_pos):
@@ -381,23 +380,23 @@ def test_ensemble_scores_average_members():
         params.head_b[0] = float(logit(target))
         members.append(params)
     tensors = make_tensors(6, 2, seed=3)
-    scores = ensemble_scores(Ensemble(members=members), tensors)
+    scores = ensemble_scores(members, tensors)
     assert np.all(np.abs(scores - 0.3) < 1e-12)
-    assert ensemble_predict(Ensemble(members=members), tensors[0]) == scores[0]
+    assert ensemble_scores(members, tensors[:1])[0] == scores[0]
 
 
 def test_ensemble_scores_permutation_invariant():
     rng = np.random.default_rng(12)
     members = [lstm.init_params(3, rng) for _ in range(4)]
     tensors = make_tensors(10, 3, seed=2)
-    forward = ensemble_scores(Ensemble(members=members), tensors)
-    backward = ensemble_scores(Ensemble(members=members[::-1]), tensors)
+    forward = ensemble_scores(members, tensors)
+    backward = ensemble_scores(members[::-1], tensors)
     assert np.allclose(forward, backward, rtol=0.0, atol=1e-14)
 
 
 def test_ensemble_requires_members():
     with pytest.raises(ContractViolationError):
-        ensemble_scores(Ensemble(members=[]), make_tensors(2, 1))
+        ensemble_scores([], make_tensors(2, 1))
 
 
 def test_class_weights_balance_one_to_eight_imbalance():
@@ -426,10 +425,10 @@ def test_hyperparams_validation():
             HyperParams(**overrides).validate()
 
 
-def test_score_tensors_chunking_is_stable():
+def test_ensemble_scores_chunking_is_stable():
     params = lstm.init_params(3, np.random.default_rng(1))
     tensors = make_tensors(10, 3, seed=7)
-    whole = score_tensors(params, tensors)
-    pieces = score_tensors(params, tensors, chunk=3)
+    whole = ensemble_scores([params], tensors)
+    pieces = ensemble_scores([params], tensors, chunk=3)
     assert whole.shape == (10,)
     assert np.allclose(whole, pieces, rtol=0.0, atol=1e-12)
