@@ -62,9 +62,12 @@ _EXIT_CODES = (
 
 def _parse_horizon(text: str):
     match = re.fullmatch(r"([0-9.]+):([0-9.]+)", text)
-    if not match:
-        raise ConfigError(f"horizon must look like LO:HI in hours, got {text!r}")
-    return float(match.group(1)), float(match.group(2))
+    try:
+        if match:
+            return float(match.group(1)), float(match.group(2))
+    except ValueError:  # more than one dot, as in 1.2.3
+        pass
+    raise ConfigError(f"horizon must look like LO:HI in hours, got {text!r}")
 
 
 def _parse_list(text: str, kind, flag: str):
@@ -92,6 +95,8 @@ def read_split(path):
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 2 or parts[1] not in ("train", "test"):
                     raise FormatError(f"{path}:{lineno}: malformed split record")
+                if parts[0] in partition_of:
+                    raise FormatError(f"{path}:{lineno}: admission id {parts[0]} listed twice")
                 partition_of[parts[0]] = parts[1]
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
@@ -150,7 +155,7 @@ def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: f
         filtered.append(clean)
         removed_total += removed
     stats = fit_normalizer([s for s in filtered if s.admission_id in train_set])
-    tensors = [build_tensor(series, stats=stats) for series in filtered]
+    tensors = [build_tensor(series, stats) for series in filtered]
     partitions = ["train" if aid in train_set else "test" for aid in ids]
     write_split(out_dir / "split.tsv", ids, partitions)
     write_stats(stats, out_dir / "stats.tsv")
@@ -158,7 +163,7 @@ def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: f
     by_partition = {"train": [], "test": []}
     for tensor, partition in zip(tensors, partitions):
         by_partition[partition].append(tensor)
-    return by_partition, stats, removed_total
+    return by_partition, removed_total
 
 
 def _load_partitioned_tensors(tensors_dir: Path):
@@ -173,20 +178,18 @@ def _load_partitioned_tensors(tensors_dir: Path):
     return by_partition
 
 
-def _write_run_config(run_dir: Path, master_seed: int, hyper: HyperParams,
-                      use_grid: bool, grid_cells, folds_k: int, jobs: int,
-                      extra=None):
-    lines = [f"master_seed={master_seed}",
-             f"split_seed={master_seed + SPLIT_SEED_OFFSET}",
-             f"folds_seed={master_seed + FOLDS_SEED_OFFSET}",
-             f"baseline2_seed={master_seed + BASELINE2_SEED_OFFSET}",
-             f"grid={int(use_grid)}",
-             f"grid_cells={';'.join(f'{h}x{lr!r}' for h, lr in grid_cells) if use_grid else '-'}",
-             f"folds={folds_k}",
-             f"jobs={jobs}"]
+def _write_run_config(run_dir: Path, prep_dir: Path, args, cells, hyper: HyperParams):
+    lines = [f"master_seed={args.seed}",
+             f"split_seed={args.seed + SPLIT_SEED_OFFSET}",
+             f"folds_seed={args.seed + FOLDS_SEED_OFFSET}",
+             f"baseline2_seed={args.seed + BASELINE2_SEED_OFFSET}",
+             f"grid={int(args.grid)}",
+             f"grid_cells={';'.join(f'{h}x{lr!r}' for h, lr in cells) if args.grid else '-'}",
+             f"folds={args.folds}",
+             f"jobs={args.jobs}"]
     for key, value in asdict(hyper).items():
         lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
-    for key, value in (extra or {}).items():
+    for key, value in _prep_digests(prep_dir).items():
         lines.append(f"{key}={value}")
     with open(run_dir / "config.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -199,28 +202,26 @@ def _write_cv_table(run_dir: Path, rows):
             fh.write(f"{hidden},{lr!r},{fold},{best_epoch},{val!r}\n")
 
 
-def _train_tensors(train_tensors, prep_dir: Path, run_dir: Path, master_seed: int,
-                   hyper: HyperParams, use_grid: bool, grid_cells, folds_k: int, jobs: int):
+def _train_tensors(train_tensors, prep_dir: Path, run_dir: Path, args, cells,
+                   hyper: HyperParams):
     """Train every cell's folds once; the winning cell's fold models are the ensemble."""
     run_dir.mkdir(parents=True, exist_ok=True)
     ids = [t.admission_id for t in train_tensors]
     labels = [t.label for t in train_tensors]
-    plan = make_folds(ids, labels, k=folds_k, seed=master_seed + FOLDS_SEED_OFFSET)
-    cells = grid_cells if use_grid else [(hyper.hidden_size, hyper.learning_rate)]
-    result = grid_search(train_tensors, plan, hyper, grid=cells, jobs=jobs)
+    plan = make_folds(ids, labels, k=args.folds, seed=args.seed + FOLDS_SEED_OFFSET)
+    result = grid_search(train_tensors, plan, hyper, cells, jobs=args.jobs)
     best = result.best
     members = [r.params for r in result.results]
     cell_mean = next(m for h, lr, m in result.cell_means
                      if h == best.hidden_size and lr == best.learning_rate)
-    _write_run_config(run_dir, master_seed, best, use_grid, grid_cells, folds_k, jobs,
-                      extra=_prep_digests(prep_dir))
+    _write_run_config(run_dir, prep_dir, args, cells, best)
     _write_cv_table(run_dir, result.rows)
     for fold, member in enumerate(members):
         save_params(member, run_dir / f"ensemble_fold{fold}.ckpt")
     _write_manifest(run_dir)
     summary = (f"hidden={best.hidden_size} lr={best.learning_rate!r} "
-               f"cv_pr_auc={cell_mean!r} folds={folds_k}")
-    return members, best, summary
+               f"cv_pr_auc={cell_mean!r} folds={args.folds}")
+    return members, summary
 
 
 def _read_manifest(run_dir: Path):
@@ -300,10 +301,9 @@ def _evaluate_ensemble(members, test_tensors, out_dir: Path, baseline2_seed: int
     export_curve_svg(curve, out_dir / "pr_curve.svg")
     with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.lines() + [f"baseline2_seed={baseline2_seed}"]) + "\n")
-    summary = (f"test_pr_auc={report.test_pr_auc!r} "
-               f"baseline1={report.baseline1_pr_auc!r} "
-               f"baseline2={report.baseline2_pr_auc!r}")
-    return report, summary
+    return (f"test_pr_auc={report.test_pr_auc!r} "
+            f"baseline1={report.baseline1_pr_auc!r} "
+            f"baseline2={report.baseline2_pr_auc!r}")
 
 
 def cmd_generate(args) -> int:
@@ -316,7 +316,7 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cohort = read_cohort(args.cohort)
-    by_partition, _, removed = _preprocess_cohort(
+    by_partition, removed = _preprocess_cohort(
         cohort, Path(args.out_dir), args.seed, args.test_fraction)
     print(f"tensors={len(by_partition['train']) + len(by_partition['test'])} "
           f"train={len(by_partition['train'])} test={len(by_partition['test'])} "
@@ -324,7 +324,12 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _grid_cells_from(args):
+def _grid_cells_from(args, hyper: HyperParams):
+    """(hidden, lr) cells to train: the --grid cells, else the one configured cell."""
+    if not args.grid:
+        if args.grid_hidden or args.grid_lr:
+            raise ConfigError("--grid-hidden/--grid-lr require --grid")
+        return [(hyper.hidden_size, hyper.learning_rate)]
     hiddens = (_parse_list(args.grid_hidden, int, "--grid-hidden") if args.grid_hidden
                else GRID_HIDDEN)
     rates = _parse_list(args.grid_lr, float, "--grid-lr") if args.grid_lr else GRID_LR
@@ -332,14 +337,11 @@ def _grid_cells_from(args):
 
 
 def cmd_train(args) -> int:
-    if not args.grid and (args.grid_hidden or args.grid_lr):
-        raise ConfigError("--grid-hidden/--grid-lr require --grid")
-    by_partition = _load_partitioned_tensors(Path(args.tensors))
     hyper = _configured(HyperParams, args)
-    _, _, summary = _train_tensors(
-        by_partition["train"], Path(args.tensors), Path(args.run_dir), args.seed, hyper,
-        use_grid=args.grid, grid_cells=_grid_cells_from(args),
-        folds_k=args.folds, jobs=args.jobs)
+    cells = _grid_cells_from(args, hyper)
+    by_partition = _load_partitioned_tensors(Path(args.tensors))
+    _, summary = _train_tensors(by_partition["train"], Path(args.tensors),
+                                Path(args.run_dir), args, cells, hyper)
     print(summary)
     return 0
 
@@ -350,29 +352,25 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("no test tensors in the cache")
     members = _load_ensemble(Path(args.run_dir), Path(args.tensors))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.run_dir)
-    _, summary = _evaluate_ensemble(members, by_partition["test"], out_dir,
-                                    baseline2_seed=args.seed + BASELINE2_SEED_OFFSET)
-    print(summary)
+    print(_evaluate_ensemble(members, by_partition["test"], out_dir,
+                             baseline2_seed=args.seed + BASELINE2_SEED_OFFSET))
     return 0
 
 
 def cmd_pipeline(args) -> int:
+    config = _configured(CohortConfig, args)
+    hyper = _configured(HyperParams, args)
+    cells = _grid_cells_from(args, hyper)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = _configured(CohortConfig, args)
     cohort = generate_cohort(config)
     write_cohort(cohort, out / "cohort.bin")
-    by_partition, _, _ = _preprocess_cohort(
-        cohort, out / "prep", args.seed, args.test_fraction)
+    by_partition, _ = _preprocess_cohort(cohort, out / "prep", args.seed, args.test_fraction)
     del cohort
-    hyper = _configured(HyperParams, args)
-    members, _, _ = _train_tensors(
-        by_partition["train"], out / "prep", out / "run", args.seed, hyper,
-        use_grid=args.grid, grid_cells=_grid_cells_from(args),
-        folds_k=args.folds, jobs=args.jobs)
-    _, summary = _evaluate_ensemble(members, by_partition["test"], out / "eval",
-                                    baseline2_seed=args.seed + BASELINE2_SEED_OFFSET)
-    print(summary)
+    members, _ = _train_tensors(by_partition["train"], out / "prep", out / "run",
+                                args, cells, hyper)
+    print(_evaluate_ensemble(members, by_partition["test"], out / "eval",
+                             baseline2_seed=args.seed + BASELINE2_SEED_OFFSET))
     return 0
 
 

@@ -1,12 +1,13 @@
 """Synthetic ICU cohort generation and the binary columnar cohort file.
 
-Each admission gets nine measurement channels sampled at per-variable
-cadences over a random horizon. Values are a per-variable physiological
-mean plus a per-admission offset, a circadian sinusoid, and Gaussian
-noise, clipped to the bio-limits where they exist and rounded to 4
-decimals. Positive admissions additionally ramp four variables over the
-final 24 h before the first positive culture; a small fraction of values
-of limited variables is replaced by out-of-range outliers.
+Each admission gets nine measurement channels sampled at fixed
+per-variable cadences (the DEFAULT_FREQUENCIES constants) over a random
+horizon. Values are a per-variable physiological mean plus a
+per-admission offset, a circadian sinusoid, and Gaussian noise, clipped
+to the bio-limits where they exist and rounded to 4 decimals. Positive
+admissions additionally ramp four variables over the final 24 h before
+the first positive culture; a small fraction of values of limited
+variables is replaced by out-of-range outliers.
 
 The first positive culture time is set to the last recorded timestamp of
 the admission, which is also the window end used for negatives, so with
@@ -27,8 +28,9 @@ Every channel is stored, empty ones included, so a read gives back exactly
 the series that were written.
 """
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -85,7 +87,6 @@ class CohortConfig:
     n_admissions: int = 2177
     n_positive: int = 229
     seed: int = 0
-    frequencies: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_FREQUENCIES))
     outlier_rate: float = 0.00276
     signal_strength: float = 1.0
     horizon_hours: Tuple[float, float] = (12.0, 120.0)
@@ -100,13 +101,8 @@ class CohortConfig:
             raise ConfigError(f"seed must be a 64-bit unsigned value, got {self.seed}")
         if not 0.0 <= self.outlier_rate < 1.0:
             raise ConfigError(f"outlier_rate must be in [0, 1), got {self.outlier_rate}")
-        if self.signal_strength < 0:
-            raise ConfigError(f"signal_strength must be >= 0, got {self.signal_strength}")
-        if set(self.frequencies) != set(VARIABLE_NAMES):
-            raise ConfigError("frequencies must cover exactly the nine variables")
-        for name, freq in self.frequencies.items():
-            if not 0 < freq <= 3600:
-                raise ConfigError(f"frequency for {name} must be in (0, 3600] samples/hour")
+        if not 0 <= self.signal_strength < math.inf:
+            raise ConfigError(f"signal_strength must be finite and >= 0, got {self.signal_strength}")
         lo, hi = self.horizon_hours
         if not 0 < lo <= hi:
             raise ConfigError(f"horizon_hours must satisfy 0 < lo <= hi, got {self.horizon_hours}")
@@ -143,7 +139,7 @@ def _generate_one(idx: int, label: int, config: CohortConfig, rng: np.random.Gen
 
     stamps: Dict[str, np.ndarray] = {}
     for name in VARIABLE_NAMES:
-        interval = max(1, int(round(3600.0 / config.frequencies[name])))
+        interval = max(1, int(round(3600.0 / DEFAULT_FREQUENCIES[name])))
         t0 = int(rng.integers(0, interval))
         stamps[name] = np.arange(t0, duration + 1, interval, dtype=np.int64)
 
@@ -254,11 +250,16 @@ def _read_admission(reader: BlockReader, index) -> PatientSeries:
 
 def read_cohort(path) -> List[PatientSeries]:
     """Inverse of write_cohort; a malformed file raises FormatError."""
+    cohort, ids = [], set()
     with open(path, "rb") as fh:
         reader = BlockReader(fh, path, FormatError)
         reader.magic(COHORT_MAGIC, "cohort header")
-        n_admissions = reader.count(_MIN_ADMISSION_BYTES, "admission count")
-        cohort = [_read_admission(reader, index) for index in range(n_admissions)]
+        for index in range(reader.count(_MIN_ADMISSION_BYTES, "admission count")):
+            series = _read_admission(reader, index)
+            if series.admission_id in ids:
+                raise reader.error(f"admission id {series.admission_id} appears twice")
+            ids.add(series.admission_id)
+            cohort.append(series)
         reader.finish("the last admission")
     return cohort
 

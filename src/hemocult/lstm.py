@@ -53,7 +53,7 @@ _BLOCK_NAMES = ("fwd_W", "fwd_U", "fwd_b", "bwd_W", "bwd_U", "bwd_b", "head_w", 
 class CellParams:
     """One direction's weights: gates stacked along the leading 4H axis."""
 
-    W: np.ndarray  # (4H, n_inputs)
+    W: np.ndarray  # (4H, N_INPUTS)
     U: np.ndarray  # (4H, H)
     b: np.ndarray  # (4H,)
 
@@ -128,7 +128,7 @@ def zeros_like_params(p: ModelParams) -> Gradients:
     )
 
 
-def init_params(hidden_size: int, seed, n_inputs: int = N_INPUTS) -> ModelParams:
+def init_params(hidden_size: int, seed) -> ModelParams:
     """Uniform [-1/sqrt(H), 1/sqrt(H)] weights, zero biases, forget bias +1."""
     if hidden_size < 1:
         raise ShapeError(f"hidden_size must be >= 1, got {hidden_size}")
@@ -137,7 +137,7 @@ def init_params(hidden_size: int, seed, n_inputs: int = N_INPUTS) -> ModelParams
     scale = 1.0 / np.sqrt(H)
 
     def cell():
-        W = rng.uniform(-scale, scale, size=(4 * H, n_inputs))
+        W = rng.uniform(-scale, scale, size=(4 * H, N_INPUTS))
         U = rng.uniform(-scale, scale, size=(4 * H, H))
         b = np.zeros(4 * H)
         b[H:2 * H] = 1.0

@@ -111,8 +111,6 @@ def baseline_proportional(labels, seed) -> float:
 
 def export_curve(curve: PRCurve, path):
     """CSV rows threshold,recall,precision plus a `# auc=` footer."""
-    if not str(path):
-        raise OSError("empty export path")
     lines = ["threshold,recall,precision"]
     for recall, precision, threshold in curve.points:
         lines.append(f"{threshold!r},{recall!r},{precision!r}")
@@ -140,8 +138,9 @@ def import_curve(path) -> PRCurve:
     return PRCurve(points=points, auc=auc)
 
 
-def export_curve_svg(curve: PRCurve, path, width: int = 640, height: int = 480):
+def export_curve_svg(curve: PRCurve, path):
     """Minimal standalone SVG rendering of the step curve."""
+    width, height = 640, 480
     margin = 50.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin

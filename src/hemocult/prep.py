@@ -65,15 +65,14 @@ class SampleTensor:
             raise ShapeError(f"label must be 0 or 1, got {self.label}")
 
 
-def filter_outliers(series: PatientSeries, specs=VARIABLES) -> Tuple[PatientSeries, int]:
+def filter_outliers(series: PatientSeries) -> Tuple[PatientSeries, int]:
     """Drop values outside closed bio-limit intervals; order preserved."""
-    by_name = {spec.name: spec for spec in specs}
     channels = {}
     removed = 0
     for name, (ts, vals) in series.channels.items():
-        if name not in by_name:
+        if name not in BY_NAME:
             raise SchemaError(f"unknown variable {name!r} in {series.admission_id}")
-        limits = by_name[name].bio_limits
+        limits = BY_NAME[name].bio_limits
         if limits is None:
             channels[name] = (ts, vals)
             continue
@@ -161,13 +160,11 @@ def resample_channel(ts: np.ndarray, vals: np.ndarray, spec: VariableSpec,
     return out
 
 
-def build_tensor(series: PatientSeries, specs=VARIABLES, stats: NormStats = None) -> SampleTensor:
+def build_tensor(series: PatientSeries, stats: NormStats) -> SampleTensor:
     """Column j is the resampled channel of the variable with column_index j."""
-    if stats is None:
-        raise FitError("build_tensor needs fitted normalization statistics")
     end_time = select_end_time(series)
     values = np.zeros((N_BINS, N_VARIABLES))
-    for spec in specs:
+    for spec in VARIABLES:
         ts, vals = series.channels.get(spec.name, (np.empty(0, dtype=np.int64), np.empty(0)))
         values[:, spec.column_index] = resample_channel(ts, vals, spec, end_time, stats)
     tensor = SampleTensor(values=values, label=int(series.label),
@@ -229,13 +226,16 @@ def write_tensors(tensors: List[SampleTensor], path):
 
 def read_tensors(path) -> List[SampleTensor]:
     """Inverse of write_tensors; a malformed file raises TensorCacheError."""
-    tensors = []
+    tensors, ids = [], set()
     with open(path, "rb") as fh:
         reader = BlockReader(fh, path, TensorCacheError)
         reader.magic(TENSOR_MAGIC, "tensor cache magic")
         while reader.left:
             (id_len,) = reader.unpack(U32, "record header")
             admission_id = reader.text(id_len, "admission id")
+            if admission_id in ids:
+                raise reader.error(f"admission id {admission_id} appears twice")
+            ids.add(admission_id)
             (label,) = reader.unpack(_LABEL, "label byte")
             if label not in (0, 1):
                 raise reader.error(f"label byte {label} for {admission_id}")

@@ -13,8 +13,9 @@ its per-epoch shuffles.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,8 +45,8 @@ class HyperParams:
     def validate(self):
         if self.hidden_size < 1:
             raise ConfigError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.w_pos <= 0 or self.w_neg <= 0:
@@ -202,39 +203,29 @@ def train_one(train_tensors: Sequence[SampleTensor], val_tensors: Sequence[Sampl
                        best_epoch=best_epoch, best_val=best_val)
 
 
-def _fold_partition(tensors: Sequence[SampleTensor], plan: FoldPlan, fold: int):
+def _train_fold(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
+                fold: int) -> TrainResult:
     val_ids = set(plan.folds[fold])
     train = [t for t in tensors if t.admission_id not in val_ids]
     val = [t for t in tensors if t.admission_id in val_ids]
-    return train, val
-
-
-def _train_fold_task(args):
-    tensors, plan, fold, hyper = args
-    train, val = _fold_partition(tensors, plan, fold)
     return train_one(train, val, replace(hyper, seed=hyper.seed + fold))
 
 
 def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
                 jobs: int = 1) -> List[TrainResult]:
-    """One model per fold, fold f validating on partition f with seed+f."""
-    tasks = [(list(tensors), plan, fold, hyper) for fold in range(plan.k)]
+    """One model per fold, fold f validating on partition f with seed+f.
+
+    With jobs > 1 the folds train in that many worker processes; results
+    come back in fold order either way.
+    """
+    task = partial(_train_fold, tensors, plan, hyper)
     results: List[TrainResult] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_train_fold_task, task) for task in tasks]
-            for fold, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except TrainingDivergence as exc:
-                    exc.fold = fold
-                    raise
-        return results
-    for fold, task in enumerate(tasks):
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         try:
-            results.append(_train_fold_task(task))
+            for result in (pool.map if pool else map)(task, range(plan.k)):
+                results.append(result)
         except TrainingDivergence as exc:
-            exc.fold = fold
+            exc.fold = len(results)
             raise
     return results
 
@@ -248,8 +239,7 @@ class GridResult:
 
 
 def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperParams,
-                grid: Optional[Sequence[Tuple[int, float]]] = None,
-                jobs: int = 1) -> GridResult:
+                grid: Sequence[Tuple[int, float]], jobs: int = 1) -> GridResult:
     """Average best-epoch val PR AUC over folds per cell; argmax wins.
 
     Ties prefer the smaller hidden size, then the smaller learning rate;
@@ -257,13 +247,12 @@ def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperPara
     kept while the search runs, so a losing cell's models are freed before
     the next cell trains.
     """
-    cells = list(grid) if grid is not None else list(product(GRID_HIDDEN, GRID_LR))
-    if not cells:
+    if not grid:
         raise ConfigError("empty hyperparameter grid")
     rows = []
     cell_means = []
     best_key = best_results = None
-    for hidden, lr in cells:
+    for hidden, lr in grid:
         cell_hyper = replace(base, hidden_size=hidden, learning_rate=lr)
         try:
             results = train_folds(tensors, plan, cell_hyper, jobs=jobs)

@@ -1,12 +1,12 @@
-"""Byte-level fuzzing of the three binary readers.
+"""Byte-level fuzzing of the three binary readers and of every run artifact.
 
 A small valid cohort, tensor cache or checkpoint is truncated at a random
 offset or has one random byte flipped. The reader must either return or
 raise its own error type, never anything else, and its traced memory must
 stay within a small multiple of the file size: a length field is checked
 against the bytes left before anything is allocated from it. The same
-damage to a trained run's tensors.bin or checkpoint must end `evaluate` in
-a documented exit code, never in a traceback.
+damage to any file of a trained run's prep and run directories, binary or
+text, must end `evaluate` in a documented exit code, never in a traceback.
 """
 
 import tracemalloc
@@ -105,7 +105,9 @@ def trained_run(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("artifact", ["prep/tensors.bin", "run/ensemble_fold1.ckpt"])
+@pytest.mark.parametrize("artifact", ["prep/tensors.bin", "run/ensemble_fold1.ckpt",
+                                      "prep/split.tsv", "prep/stats.tsv",
+                                      "run/config.txt", "run/manifest.txt"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_evaluate_on_mutated_artifact_exits_with_documented_code(trained_run, artifact, data):

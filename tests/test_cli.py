@@ -15,7 +15,7 @@ from hemocult import training
 from hemocult.cli import _grid_cells_from, entrypoint
 from hemocult.cohort import read_cohort
 from hemocult.prep import read_stats, read_tensors
-from hemocult.training import GRID_HIDDEN, GRID_LR
+from hemocult.training import GRID_HIDDEN, GRID_LR, HyperParams
 
 SUMMARY_RE = re.compile(
     r"^test_pr_auc=([0-9.e-]+) baseline1=([0-9.e-]+) baseline2=([0-9.e-]+)$")
@@ -211,15 +211,20 @@ def test_train_custom_grid(workspace, tmp_path, monkeypatch):
 
 
 def test_default_grid_is_three_by_three():
-    cells = _grid_cells_from(Namespace(grid_hidden=None, grid_lr=None))
+    cells = _grid_cells_from(Namespace(grid=True, grid_hidden=None, grid_lr=None),
+                             HyperParams())
     assert cells == list(product(GRID_HIDDEN, GRID_LR))
     assert len(cells) == 9
 
 
 def test_grid_lists_require_grid_flag(workspace, tmp_path):
-    code, _, err = run("train", "--tensors", workspace["root"] / "prep",
-                       "--run-dir", tmp_path, "--grid-hidden", "1,2")
-    assert code == 2 and "--grid" in err
+    for argv in (["train", "--tensors", workspace["root"] / "prep",
+                  "--run-dir", tmp_path / "run", "--grid-hidden", "1,2"],
+                 ["pipeline", "--out-dir", tmp_path / "pipe", *TINY_COHORT, *TINY_TRAIN,
+                  "--grid-lr", "0.5"]):
+        code, _, err = run(*argv)
+        assert code == 2 and "--grid-hidden/--grid-lr require --grid" in err, argv
+    assert not (tmp_path / "run").exists() and not (tmp_path / "pipe").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--grid-lr", "a"), ("--grid-hidden", "x"),
@@ -316,6 +321,10 @@ def test_evaluate_missing_split_entry_exits_3(workspace, tmp_path):
     (prep_copy / "split.tsv").write_text("\n".join(lines[:-1]) + "\n")
     code, _, err = run("evaluate", "--tensors", prep_copy, "--run-dir", root / "run")
     assert code == 3 and "missing from split file" in err
+    (prep_copy / "split.tsv").write_text("\n".join(lines + lines[1:2]) + "\n")
+    code, _, err = run("evaluate", "--tensors", prep_copy, "--run-dir", root / "run")
+    aid = lines[1].split("\t")[0]
+    assert code == 3 and f"admission id {aid} listed twice" in err
 
 
 def _drop_folds_1_and_2(run_dir):
@@ -455,6 +464,15 @@ def test_pipeline_rejects_bad_flags(tmp_path):
     code, _, err = run("pipeline", "--out-dir", tmp_path / "y", *TINY_COHORT,
                        "--test-fraction", 1.5)
     assert code == 2 and "test_fraction" in err
+    generate = ["generate", "--out", tmp_path / "z.bin", *TINY_COHORT]
+    pipeline = ["pipeline", "--out-dir", tmp_path / "z", *TINY_COHORT]
+    for argv, message in ((generate + ["--horizon", "1.2.3:4"], "horizon"),
+                          (generate + ["--signal-strength", "nan"], "signal_strength"),
+                          (pipeline + ["--signal-strength", "inf"], "signal_strength"),
+                          (pipeline + ["--lr", "nan"], "learning_rate"),
+                          (pipeline + ["--lr", "inf"], "learning_rate")):
+        code, _, err = run(*argv)
+        assert code == 2 and message in err, (argv, err)
 
 
 def test_pipeline_unwritable_out_dir_exits_3(tmp_path):

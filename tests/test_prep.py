@@ -237,11 +237,6 @@ def test_build_tensor_single_mean_value_is_all_zero():
     assert np.array_equal(tensor.values, np.zeros((N_BINS, N_VARIABLES)))
 
 
-def test_build_tensor_requires_stats():
-    with pytest.raises(FitError):
-        build_tensor(series_of({"crp": ([1], [1.0])}))
-
-
 def test_normalized_training_values_have_unit_thirds_spread():
     cohort = [filter_outliers(s)[0] for s in small_cohort(n=30, n_pos=6)]
     stats = fit_normalizer(cohort)
@@ -262,16 +257,15 @@ def test_stats_fit_on_train_only(tmp_path):
     train_only = fit_normalizer([s for s in filtered if s.admission_id in set(train_ids)])
     everything = fit_normalizer(filtered)
     assert not np.array_equal(train_only.avg, everything.avg)  # leakage would hide this
-    _, stats, _ = _preprocess_cohort(cohort, tmp_path, master_seed=0, test_fraction=0.25)
+    _preprocess_cohort(cohort, tmp_path, master_seed=0, test_fraction=0.25)
     split_train = {aid for aid, part in
                    ((line.split("\t")) for line in
                     (tmp_path / "split.tsv").read_text().splitlines()[1:])
                    if part == "train"}
     expected = fit_normalizer([s for s in filtered if s.admission_id in split_train])
-    assert np.array_equal(stats.avg, expected.avg)
-    assert np.array_equal(stats.std, expected.std)
     loaded = read_stats(tmp_path / "stats.tsv")
     assert np.array_equal(loaded.avg, expected.avg)
+    assert np.array_equal(loaded.std, expected.std)
 
 
 def test_stats_file_roundtrip(tmp_path):
@@ -351,3 +345,8 @@ def test_tensor_cache_validation(tmp_path):
     bad_id.write_bytes(bytes(flipped))
     with pytest.raises(TensorCacheError, match="not UTF-8"):
         read_tensors(bad_id)
+
+    twice = tmp_path / "twice.bin"
+    write_tensors(tensors * 2, twice)
+    with pytest.raises(TensorCacheError, match="admission id x appears twice"):
+        read_tensors(twice)
