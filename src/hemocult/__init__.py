@@ -4,8 +4,8 @@ for predicting positive blood cultures from irregular clinical time series."""
 __version__ = "0.1.0"
 
 from .cohort import CohortConfig, PatientSeries, generate_cohort, read_cohort, write_cohort
-from .lstm import (CellParams, ModelParams, backward, cell_step, forward,
-                   init_params, load_params, save_params, weighted_mse)
+from .lstm import (CellParams, ModelParams, init_params, load_params,
+                   save_params, weighted_mse)
 from .metrics import (EvalReport, PRCurve, baseline_constant,
                       baseline_proportional, export_curve, pr_auc, pr_curve)
 from .prep import (NormStats, SampleTensor, build_tensor, filter_outliers,
@@ -16,8 +16,8 @@ from .training import (FoldPlan, HyperParams, TrainResult, ensemble_scores,
 
 __all__ = [
     "CohortConfig", "PatientSeries", "generate_cohort", "read_cohort", "write_cohort",
-    "CellParams", "ModelParams", "backward", "cell_step", "forward",
-    "init_params", "load_params", "save_params", "weighted_mse",
+    "CellParams", "ModelParams", "init_params", "load_params", "save_params",
+    "weighted_mse",
     "EvalReport", "PRCurve", "baseline_constant", "baseline_proportional",
     "export_curve", "pr_auc", "pr_curve",
     "NormStats", "SampleTensor", "build_tensor", "filter_outliers",

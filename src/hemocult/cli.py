@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,7 @@ from . import __version__
 from .cohort import (CohortConfig, cohort_summary, generate_cohort,
                      read_cohort, write_cohort)
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
-                     EmptySeriesError, FitError, FoldError, FormatError,
-                     HemocultError, SchemaError, ShapeError,
-                     StratificationError, TensorCacheError,
-                     TrainingDivergence, UndefinedRecallError)
+                     FormatError, HemocultError, TrainingDivergence)
 from .lstm import load_params, save_params
 from .metrics import (EvalReport, baseline_constant, baseline_proportional,
                       export_curve, export_curve_svg, pr_curve)
@@ -50,15 +47,6 @@ QUICK_PROFILE = {
     "n_admissions": 300, "n_positive": 40, "horizon_hours": (12.0, 48.0),
     "hidden_size": 10, "learning_rate": 0.01, "max_epochs": 20,
 }
-
-_EXIT_CODES = (
-    ((ConfigError, FitError, EmptySeriesError, SchemaError, UndefinedRecallError), 2),
-    ((FormatError,), 3),
-    ((StratificationError, FoldError), 4),
-    ((TrainingDivergence,), 5),
-    ((CheckpointError, TensorCacheError, ShapeError, ContractViolationError), 6),
-)
-
 
 def _parse_horizon(text: str):
     match = re.fullmatch(r"([0-9.]+):([0-9.]+)", text)
@@ -138,6 +126,17 @@ def _configured(cls, args):
     config = cls(**values)
     config.validate()
     return config
+
+
+def _check_flags(args):
+    """The command's flags that no config class holds, checked before any file is touched."""
+    flags = vars(args)
+    if "test_fraction" in flags and not 0.0 < args.test_fraction < 1.0:
+        raise ConfigError(f"test_fraction must be in (0, 1), got {args.test_fraction}")
+    if "folds" in flags and args.folds < 2:
+        raise ConfigError(f"folds must be >= 2, got {args.folds}")
+    if "jobs" in flags and args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
 
 
 def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: float):
@@ -333,7 +332,10 @@ def _grid_cells_from(args, hyper: HyperParams):
     hiddens = (_parse_list(args.grid_hidden, int, "--grid-hidden") if args.grid_hidden
                else GRID_HIDDEN)
     rates = _parse_list(args.grid_lr, float, "--grid-lr") if args.grid_lr else GRID_LR
-    return [(h, lr) for h in hiddens for lr in rates]
+    cells = [(h, lr) for h in hiddens for lr in rates]
+    for hidden, lr in cells:
+        replace(hyper, hidden_size=hidden, learning_rate=lr).validate()
+    return cells
 
 
 def cmd_train(args) -> int:
@@ -453,23 +455,20 @@ def build_parser() -> argparse.ArgumentParser:
 def entrypoint(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
-    except TrainingDivergence as exc:
-        where = []
-        if hasattr(exc, "cell"):
-            where.append(f"cell hidden={exc.cell[0]} lr={exc.cell[1]}")
-        if hasattr(exc, "fold"):
-            where.append(f"fold {exc.fold}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        print(f"error: training diverged: {exc}{suffix}", file=sys.stderr)
-        return 5
     except HemocultError as exc:
-        for types, code in _EXIT_CODES:
-            if isinstance(exc, types):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+        if isinstance(exc, TrainingDivergence):
+            where = []
+            if hasattr(exc, "cell"):
+                where.append(f"cell hidden={exc.cell[0]} lr={exc.cell[1]}")
+            if hasattr(exc, "fold"):
+                where.append(f"fold {exc.fold}")
+            suffix = f" ({', '.join(where)})" if where else ""
+            message = f"training diverged: {exc}{suffix}"
+        print(f"error: {message}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, each with its CLI exit code."""
 
 
 class HemocultError(Exception):
@@ -7,46 +7,57 @@ class HemocultError(Exception):
 
 class ConfigError(HemocultError):
     """Invalid configuration values (counts, rates, ranges, CLI flags)."""
+    exit_code = 2
 
 
 class SchemaError(HemocultError):
     """A series refers to an unknown variable or breaks a structural invariant."""
+    exit_code = 2
 
 
 class FormatError(HemocultError):
     """A cohort file or a text artifact is malformed or has the wrong header."""
+    exit_code = 3
 
 
 class TensorCacheError(HemocultError):
     """A binary tensor cache file is malformed or truncated."""
+    exit_code = 6
 
 
 class CheckpointError(HemocultError):
     """A model checkpoint file is malformed, truncated, or inconsistent."""
+    exit_code = 6
 
 
 class ShapeError(HemocultError):
     """Array dimensions do not match the declared model or tensor layout."""
+    exit_code = 6
 
 
 class FitError(HemocultError):
     """Normalization statistics cannot be fitted (a variable has no values)."""
+    exit_code = 2
 
 
 class EmptySeriesError(HemocultError):
     """A series has no measurements where at least one is required."""
+    exit_code = 2
 
 
 class StratificationError(HemocultError):
     """A stratified split is impossible (empty class or infeasible counts)."""
+    exit_code = 4
 
 
 class FoldError(HemocultError):
     """A cross-validation fold plan is impossible (class smaller than k)."""
+    exit_code = 4
 
 
 class TrainingDivergence(HemocultError):
     """Training produced a non-finite loss. Carries the epoch and loss value."""
+    exit_code = 5
 
     def __init__(self, epoch: int, loss: float):
         self.epoch = epoch
@@ -60,7 +71,9 @@ class TrainingDivergence(HemocultError):
 
 class ContractViolationError(HemocultError):
     """An API was called with state it cannot have produced (stale cache, empty ensemble)."""
+    exit_code = 6
 
 
 class UndefinedRecallError(HemocultError):
     """Precision-recall evaluation was requested with zero positive labels."""
+    exit_code = 2

@@ -14,8 +14,8 @@ function, the last H rows get tanh. Cell recurrences:
     o = sigma(W_o x + U_o h + b_o)      g = tanh (W_g x + U_g h + b_g)
     c = f * c_prev + i * g              h = o * tanh(c)
 
-Batched entry points take (B, T, n) arrays; the per-example API wraps a
-batch of one. Initial hidden and cell states are zero.
+forward_batch and backward_batch take (B, T, n) arrays. Initial hidden
+and cell states are zero.
 
 Checkpoint layout, all fields little-endian:
 
@@ -115,19 +115,6 @@ class ModelParams:
         )
 
 
-# gradients share the parameter containers; entries are d loss / d parameter
-Gradients = ModelParams
-
-
-def zeros_like_params(p: ModelParams) -> Gradients:
-    return ModelParams(
-        CellParams(np.zeros_like(p.fwd.W), np.zeros_like(p.fwd.U), np.zeros_like(p.fwd.b)),
-        CellParams(np.zeros_like(p.bwd.W), np.zeros_like(p.bwd.U), np.zeros_like(p.bwd.b)),
-        np.zeros_like(p.head_w),
-        np.zeros_like(p.head_b),
-    )
-
-
 def init_params(hidden_size: int, seed) -> ModelParams:
     """Uniform [-1/sqrt(H), 1/sqrt(H)] weights, zero biases, forget bias +1."""
     if hidden_size < 1:
@@ -148,27 +135,6 @@ def init_params(hidden_size: int, seed) -> ModelParams:
     head_w = rng.uniform(-scale, scale, size=2 * H)
     head_b = np.zeros(1)
     return ModelParams(fwd, bwd, head_w, head_b)
-
-
-def cell_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: CellParams):
-    """One LSTM step for a single example. Returns (h, c)."""
-    H = p.hidden
-    x_t = np.asarray(x_t, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    if x_t.shape != (p.W.shape[1],):
-        raise ShapeError(f"input has shape {x_t.shape}, want ({p.W.shape[1]},)")
-    if h_prev.shape != (H,) or c_prev.shape != (H,):
-        raise ShapeError(f"state has shape {h_prev.shape}/{c_prev.shape}, want ({H},)")
-    p.validate()
-    z = p.W @ x_t + p.U @ h_prev + p.b
-    i = expit(z[:H])
-    f = expit(z[H:2 * H])
-    o = expit(z[2 * H:3 * H])
-    g = np.tanh(z[3 * H:])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
 
 
 def _run_direction(X: np.ndarray, p: CellParams):
@@ -258,7 +224,8 @@ def backward_batch(X: np.ndarray, labels: np.ndarray, p: ModelParams,
                    w_pos: float, w_neg: float, cache: dict):
     """Sum-over-batch weighted MSE and its exact gradients.
 
-    The cache must come from forward_batch on the same X and p.
+    The cache must come from forward_batch on the same X and p. Returns
+    (loss, grads); grads is a ModelParams of d loss / d parameter.
     """
     if cache.get("X") is not X or cache.get("params") is not p:
         raise ContractViolationError("cache does not belong to these inputs")
@@ -279,29 +246,6 @@ def backward_batch(X: np.ndarray, labels: np.ndarray, p: ModelParams,
     fW, fU, fb = _direction_backward(X, p.fwd, cache["fwd"], dhf)
     bW, bU, bb = _direction_backward(cache["Xr"], p.bwd, cache["bwd"], dhb)
     grads = ModelParams(CellParams(fW, fU, fb), CellParams(bW, bU, bb), g_head_w, g_head_b)
-    return loss, grads
-
-
-def _tensor_values(tensor) -> np.ndarray:
-    values = tensor.values if hasattr(tensor, "values") else np.asarray(tensor, dtype=float)
-    if values.ndim != 2:
-        raise ShapeError(f"tensor has {values.ndim} dimensions, want 2")
-    return values
-
-
-def forward(tensor, p: ModelParams):
-    """Score one example. Returns (score in (0,1), cache for backward)."""
-    X = _tensor_values(tensor)[None, :, :]
-    s, cache = forward_batch(X, p)
-    cache["example"] = tensor
-    return float(s[0]), cache
-
-
-def backward(tensor, label, p: ModelParams, w_pos: float, w_neg: float, cache: dict):
-    """Per-example weighted MSE loss and exact gradients via the cache."""
-    if cache.get("example") is not tensor:
-        raise ContractViolationError("cache was built from a different example")
-    loss, grads = backward_batch(cache["X"], np.array([float(label)]), p, w_pos, w_neg, cache)
     return loss, grads
 
 

@@ -64,28 +64,16 @@ def pr_curve(scores, labels) -> PRCurve:
     scores, labels = _check_inputs(scores, labels)
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
-    y_sorted = labels[order]
-    n_pos = int(labels.sum())
-    points = []
-    areas = []
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i:j].sum())
-        seen = j
-        recall = tp / n_pos
-        precision = tp / seen
-        points.append((recall, precision, float(s_sorted[i])))
-        areas.append((recall - prev_recall) * precision)
-        prev_recall = recall
-        i = j
-    return PRCurve(points=points, auc=math.fsum(areas))
+    # a tie run ends where the next sorted score differs; its point counts every
+    # member and shows the first member's score (0.0 and -0.0 tie)
+    ends = np.flatnonzero(s_sorted[1:] != s_sorted[:-1])
+    last = np.append(ends, s_sorted.size - 1)
+    first = np.append(0, ends + 1)
+    tp = np.cumsum(labels[order])[last]
+    recall = tp / int(labels.sum())
+    precision = tp / (last + 1)
+    points = list(zip(recall.tolist(), precision.tolist(), s_sorted[first].tolist()))
+    return PRCurve(points=points, auc=math.fsum(np.diff(recall, prepend=0.0) * precision))
 
 
 def pr_auc(scores, labels) -> float:

@@ -85,11 +85,11 @@ def filter_outliers(series: PatientSeries) -> Tuple[PatientSeries, int]:
     return filtered, removed
 
 
-def fit_normalizer(training_series: List[PatientSeries], specs=VARIABLES) -> NormStats:
+def fit_normalizer(training_series: List[PatientSeries]) -> NormStats:
     """Mean and population std of all surviving raw values, per variable."""
     avg = np.zeros(N_VARIABLES)
     std = np.zeros(N_VARIABLES)
-    for spec in specs:
+    for spec in VARIABLES:
         pieces = [series.channels[spec.name][1]
                   for series in training_series if spec.name in series.channels]
         if sum(arr.size for arr in pieces) == 0:
@@ -100,12 +100,8 @@ def fit_normalizer(training_series: List[PatientSeries], specs=VARIABLES) -> Nor
     return NormStats(avg=avg, std=std)
 
 
-def normalize(x, avg: float, std: float):
-    """Scales to (x - avg) / (3 * std); a constant variable maps to 0."""
-    if np.ndim(x) == 0:
-        if std == 0.0:
-            return 0.0
-        return float((x - avg) / (3.0 * std))
+def normalize(x, avg: float, std: float) -> np.ndarray:
+    """Scales an array to (x - avg) / (3 * std); a constant variable maps to 0."""
     x = np.asarray(x, dtype=float)
     if std == 0.0:
         return np.zeros_like(x)

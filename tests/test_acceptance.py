@@ -48,9 +48,10 @@ def test_c01_gradients_match_finite_differences():
             arr += rng.normal(0.0, 0.2, size=arr.shape)
         X = rng.normal(0.0, 0.6, size=(72, 9))
         label = int(rng.integers(0, 2))
-        score, cache = lstm.forward(X, params)
-        assert abs(score - float(oracles.forward_ld(X, params))) < 1e-12
-        _, grads = lstm.backward(X, label, params, 8.0, 1.0, cache)
+        scores, cache = lstm.forward_batch(X[None], params)
+        assert abs(float(scores[0]) - float(oracles.forward_ld(X, params))) < 1e-12
+        _, grads = lstm.backward_batch(cache["X"], np.array([float(label)]), params,
+                                       8.0, 1.0, cache)
         worst = max(worst, oracles.fd_gradient_worst_error(
             params, X, label, grads, w_pos=8.0, w_neg=1.0, eps=1e-5))
     elapsed = time.perf_counter() - start

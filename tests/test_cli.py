@@ -225,6 +225,13 @@ def test_grid_lists_require_grid_flag(workspace, tmp_path):
         code, _, err = run(*argv)
         assert code == 2 and "--grid-hidden/--grid-lr require --grid" in err, argv
     assert not (tmp_path / "run").exists() and not (tmp_path / "pipe").exists()
+    # every grid cell is validated before the first one trains
+    for grid_list, message in ((["--grid-hidden", "2,0"], "hidden_size"),
+                               (["--grid-lr", "0.05,-1"], "learning_rate")):
+        code, _, err = run("train", "--tensors", workspace["root"] / "prep",
+                           "--run-dir", tmp_path / "cells", *TINY_TRAIN, "--grid", *grid_list)
+        assert code == 2 and message in err, (grid_list, err)
+        assert not (tmp_path / "cells").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--grid-lr", "a"), ("--grid-hidden", "x"),
@@ -457,22 +464,33 @@ def test_quick_profile_writes_same_file_set(tmp_path):
     assert config["hidden_size"] == "10" and config["max_epochs"] == "20"
 
 
-def test_pipeline_rejects_bad_flags(tmp_path):
+def test_pipeline_rejects_bad_flags(workspace, tmp_path):
     code, _, err = run("pipeline", "--out-dir", tmp_path / "x", "--n", 40,
                        "--positives", 50)
     assert code == 2 and "n_positive" in err
     code, _, err = run("pipeline", "--out-dir", tmp_path / "y", *TINY_COHORT,
                        "--test-fraction", 1.5)
     assert code == 2 and "test_fraction" in err
+    assert not (tmp_path / "y").exists()
     generate = ["generate", "--out", tmp_path / "z.bin", *TINY_COHORT]
     pipeline = ["pipeline", "--out-dir", tmp_path / "z", *TINY_COHORT]
+    preprocess = ["preprocess", "--cohort", workspace["root"] / "cohort.bin",
+                  "--out-dir", tmp_path / "z"]
+    train = ["train", "--tensors", workspace["root"] / "prep", "--run-dir", tmp_path / "z"]
     for argv, message in ((generate + ["--horizon", "1.2.3:4"], "horizon"),
                           (generate + ["--signal-strength", "nan"], "signal_strength"),
                           (pipeline + ["--signal-strength", "inf"], "signal_strength"),
                           (pipeline + ["--lr", "nan"], "learning_rate"),
-                          (pipeline + ["--lr", "inf"], "learning_rate")):
+                          (pipeline + ["--lr", "inf"], "learning_rate"),
+                          (preprocess + ["--test-fraction", "1.5"], "test_fraction"),
+                          (preprocess + ["--test-fraction", "0"], "test_fraction"),
+                          (pipeline + ["--folds", "1"], "folds"),
+                          (train + ["--folds", "1"], "folds"),
+                          (pipeline + TINY_TRAIN + ["--jobs", "0"], "jobs"),
+                          (train + TINY_TRAIN + ["--jobs", "-1"], "jobs")):
         code, _, err = run(*argv)
         assert code == 2 and message in err, (argv, err)
+        assert not (tmp_path / "z").exists() and not (tmp_path / "z.bin").exists(), argv
 
 
 def test_pipeline_unwritable_out_dir_exits_3(tmp_path):

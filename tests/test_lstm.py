@@ -9,10 +9,9 @@ from scipy.special import expit
 import oracles
 from hemocult.errors import (CheckpointError, ContractViolationError,
                              ShapeError)
-from hemocult.lstm import (CellParams, ModelParams, backward, backward_batch,
-                           cell_step, forward, forward_batch, init_params,
-                           load_params, save_params, weighted_mse,
-                           zeros_like_params)
+from hemocult.lstm import (CellParams, ModelParams, backward_batch,
+                           forward_batch, init_params, load_params,
+                           save_params, weighted_mse)
 
 
 def zero_cell(H, n_in=9):
@@ -35,55 +34,45 @@ def flat_grad_norm(grads):
     return math.sqrt(sum(float((arr * arr).sum()) for _, arr in grads.named_arrays()))
 
 
-def test_cell_step_zero_fixed_point():
-    h, c = cell_step(np.zeros(9), np.zeros(2), np.zeros(2), zero_cell(2))
+def first_step(fwd_cell):
+    """(h, c) after one step of the forward direction from the zero state."""
+    p = ModelParams(fwd_cell, zero_cell(fwd_cell.hidden), np.zeros(2 * fwd_cell.hidden),
+                    np.zeros(1))
+    _, cache = forward_batch(np.zeros((1, 1, 9)), p)
+    return cache["fwd"]["Hs"][1, 0], cache["fwd"]["C"][0, 0]
+
+
+def test_first_step_zero_fixed_point():
+    h, c = first_step(zero_cell(2))
     assert np.array_equal(h, np.zeros(2))
     assert np.array_equal(c, np.zeros(2))
 
 
-def test_cell_step_zero_params_halve_cell_state():
-    # i = f = o = 0.5 and g = 0, so c = u/2 and h = tanh(u/2)/2
-    u = np.array([0.8, -1.7, 0.05])
-    h, c = cell_step(np.zeros(9), np.zeros(3), u, zero_cell(3))
-    assert np.array_equal(c, 0.5 * u)
-    assert np.array_equal(h, 0.5 * np.tanh(0.5 * u))
-
-
-def test_cell_step_saturated_gates():
+def test_first_step_saturated_gates():
     p = zero_cell(1)
     p.b[0] = 20.0   # input gate open
     p.b[1] = -20.0  # forget gate shut
     p.b[2] = 20.0   # output gate open
-    h, c = cell_step(np.zeros(9), np.zeros(1), np.zeros(1), p)
+    h, c = first_step(p)
     assert h[0] == 0.0 and c[0] == 0.0  # candidate tanh(0) kills the update
     p.b[3] = 20.0  # candidate saturated at 1
-    h, c = cell_step(np.zeros(9), np.zeros(1), np.zeros(1), p)
+    h, c = first_step(p)
     assert c[0] == pytest.approx(1.0, abs=1e-3)
     assert h[0] == pytest.approx(np.tanh(1.0), abs=1e-3)
 
 
-def test_cell_step_shape_errors():
-    p = zero_cell(2)
-    with pytest.raises(ShapeError):
-        cell_step(np.zeros(8), np.zeros(2), np.zeros(2), p)
-    with pytest.raises(ShapeError):
-        cell_step(np.zeros(9), np.zeros(3), np.zeros(2), p)
-    bad = CellParams(np.zeros((8, 9)), np.zeros((8, 3)), np.zeros(8))
-    with pytest.raises(ShapeError):
-        cell_step(np.zeros(9), np.zeros(3), np.zeros(3), bad)
-
-
 def test_forward_zero_params_scores_half():
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(72, 9))
-    score, _ = forward(X, zero_model(3))
-    assert score == 0.5
+    X = rng.normal(size=(1, 72, 9))
+    scores, _ = forward_batch(X, zero_model(3))
+    assert scores[0] == 0.5
 
 
 def test_forward_head_bias_only():
     p = zero_model(2)
     p.head_b[0] = 10.0
-    score, _ = forward(np.zeros((72, 9)), p)
+    scores, _ = forward_batch(np.zeros((1, 72, 9)), p)
+    score = float(scores[0])
     assert score == float(expit(10.0))
     assert score == pytest.approx(0.99995, abs=1e-4)
 
@@ -91,15 +80,15 @@ def test_forward_head_bias_only():
 def test_forward_direction_swap_is_bit_exact():
     for seed in range(5):
         p, rng = noisy_params(4, seed)
-        X = rng.normal(size=(72, 9))
+        X = rng.normal(size=(1, 72, 9))
         swapped = ModelParams(
             fwd=p.bwd.copy(), bwd=p.fwd.copy(),
             head_w=np.concatenate([p.head_w[4:], p.head_w[:4]]),
             head_b=p.head_b.copy(),
         )
-        s1, _ = forward(X, p)
-        s2, _ = forward(X[::-1].copy(), swapped)
-        assert s1 == s2
+        s1, _ = forward_batch(X, p)
+        s2, _ = forward_batch(X[:, ::-1].copy(), swapped)
+        assert s1[0] == s2[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,15 +97,15 @@ def test_forward_score_strictly_inside_unit_interval(seed, bias):
     rng = np.random.default_rng(seed)
     p = init_params(2, rng)
     p.head_b[0] = bias
-    score, _ = forward(rng.normal(size=(72, 9)), p)
-    assert 0.0 < score < 1.0
+    scores, _ = forward_batch(rng.normal(size=(1, 72, 9)), p)
+    assert 0.0 < scores[0] < 1.0
 
 
 def test_forward_batch_matches_per_example():
     p, rng = noisy_params(3, 11)
     X = rng.normal(size=(6, 72, 9))
     batch_scores, _ = forward_batch(X, p)
-    singles = np.array([forward(X[i], p)[0] for i in range(6)])
+    singles = np.array([forward_batch(X[i:i + 1], p)[0][0] for i in range(6)])
     np.testing.assert_allclose(batch_scores, singles, rtol=0.0, atol=1e-10)
 
 
@@ -171,10 +160,10 @@ def test_backward_loss_equals_weighted_mse():
 def test_backward_saturated_target_gradients_vanish():
     p = zero_model(2)
     p.head_b[0] = 50.0  # score pinned against 1 from below
-    X = np.random.default_rng(3).normal(size=(72, 9))
-    score, cache = forward(X, p)
-    assert 0.0 < score < 1.0
-    _, grads = backward(X, 1, p, 8.0, 1.0, cache)
+    X = np.random.default_rng(3).normal(size=(1, 72, 9))
+    scores, cache = forward_batch(X, p)
+    assert 0.0 < scores[0] < 1.0
+    _, grads = backward_batch(X, np.array([1.0]), p, 8.0, 1.0, cache)
     worst = max(float(np.abs(arr).max()) for _, arr in grads.named_arrays())
     assert worst <= 1e-8
 
@@ -182,9 +171,9 @@ def test_backward_saturated_target_gradients_vanish():
 def test_backward_head_bias_gradient_by_hand():
     # zero params, y=1, w_pos=8: d loss / d head bias = 2*8*(0.5-1)*0.25
     p = zero_model(2)
-    X = np.random.default_rng(4).normal(size=(72, 9))
-    _, cache = forward(X, p)
-    _, grads = backward(X, 1, p, 8.0, 1.0, cache)
+    X = np.random.default_rng(4).normal(size=(1, 72, 9))
+    _, cache = forward_batch(X, p)
+    _, grads = backward_batch(X, np.array([1.0]), p, 8.0, 1.0, cache)
     assert grads.head_b[0] == -2.0
 
 
@@ -192,9 +181,6 @@ def test_backward_rejects_stale_cache():
     p, rng = noisy_params(2, 9)
     X1 = rng.normal(size=(72, 9))
     X2 = rng.normal(size=(72, 9))
-    _, cache = forward(X1, p)
-    with pytest.raises(ContractViolationError):
-        backward(X2, 1, p, 8.0, 1.0, cache)
     B1 = X1[None, :, :]
     _, bcache = forward_batch(B1, p)
     with pytest.raises(ContractViolationError):
@@ -207,14 +193,14 @@ def test_backward_batch_gradient_is_sum_over_examples():
     y = np.array([1.0, 0.0, 0.0, 1.0])
     _, cache = forward_batch(X, p)
     _, grads = backward_batch(X, y, p, 8.0, 1.0, cache)
-    total = zeros_like_params(p)
+    total = [np.zeros_like(arr) for _, arr in p.named_arrays()]
     for i in range(4):
-        xi = X[i]
-        _, ci = forward(xi, p)
-        _, gi = backward(xi, y[i], p, 8.0, 1.0, ci)
-        for (_, acc), (_, piece) in zip(total.named_arrays(), gi.named_arrays()):
+        xi = X[i:i + 1]
+        _, ci = forward_batch(xi, p)
+        _, gi = backward_batch(xi, y[i:i + 1], p, 8.0, 1.0, ci)
+        for acc, (_, piece) in zip(total, gi.named_arrays()):
             acc += piece
-    for (_, a), (_, b) in zip(grads.named_arrays(), total.named_arrays()):
+    for (_, a), b in zip(grads.named_arrays(), total):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 

@@ -81,25 +81,29 @@ def test_filter_outliers_unknown_variable():
         filter_outliers(series_of({"lactate": ([1], [2.0])}))
 
 
+def with_crp(crp, aid="a1"):
+    """A series with the given crp channel and one value of every other variable."""
+    others = {spec.name: ([0], [1.0]) for spec in VARIABLES if spec.name != "crp"}
+    return series_of({**others, "crp": crp}, aid=aid)
+
+
 def test_fit_normalizer_examples():
-    spec = (BY_NAME["crp"],)
     col = BY_NAME["crp"].column_index
-    stats = fit_normalizer([series_of({"crp": ([1, 2, 3], [1.0, 2.0, 3.0])})], spec)
+    stats = fit_normalizer([with_crp(([1, 2, 3], [1.0, 2.0, 3.0]))])
     assert stats.avg[col] == 2.0
     assert stats.std[col] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
-    single = fit_normalizer([series_of({"crp": ([4], [5.0])})], spec)
+    single = fit_normalizer([with_crp(([4], [5.0]))])
     assert single.avg[col] == 5.0 and single.std[col] == 0.0
-    flat = fit_normalizer([series_of({"crp": ([1, 2, 3], [7.0, 7.0, 7.0])})], spec)
+    flat = fit_normalizer([with_crp(([1, 2, 3], [7.0, 7.0, 7.0]))])
     assert flat.std[col] == 0.0
     # values pool across admissions before fitting
-    split = fit_normalizer([series_of({"crp": ([1, 2], [1.0, 2.0])}),
-                            series_of({"crp": ([3], [3.0])}, aid="a2")], spec)
+    split = fit_normalizer([with_crp(([1, 2], [1.0, 2.0])), with_crp(([3], [3.0]), aid="a2")])
     assert split.avg[col] == 2.0
 
 
 def test_fit_normalizer_requires_values():
-    with pytest.raises(FitError):
-        fit_normalizer([series_of({"crp": ([], [])})], (BY_NAME["crp"],))
+    with pytest.raises(FitError, match="crp"):
+        fit_normalizer([with_crp(([], []))])
 
 
 def test_normalize_examples():
