@@ -24,7 +24,7 @@ from . import __version__
 from .cohort import (CohortConfig, cohort_summary, generate_cohort,
                      read_cohort, write_cohort)
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
-                     FormatError, HemocultError, TrainingDivergence)
+                     FormatError, HemocultError)
 from .lstm import load_params, save_params
 from .metrics import (EvalReport, baseline_constant, baseline_proportional,
                       export_curve, export_curve_svg, pr_curve)
@@ -139,7 +139,7 @@ def _check_flags(args):
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
 
 
-def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: float):
+def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: float) -> str:
     """Split first, fit stats on the training side only, tensorize everything."""
     out_dir.mkdir(parents=True, exist_ok=True)
     ids = [series.admission_id for series in cohort]
@@ -159,10 +159,9 @@ def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: f
     write_split(out_dir / "split.tsv", ids, partitions)
     write_stats(stats, out_dir / "stats.tsv")
     write_tensors(tensors, out_dir / "tensors.bin")
-    by_partition = {"train": [], "test": []}
-    for tensor, partition in zip(tensors, partitions):
-        by_partition[partition].append(tensor)
-    return by_partition, removed_total
+    n_train = partitions.count("train")
+    return (f"tensors={len(tensors)} train={n_train} test={len(tensors) - n_train} "
+            f"removed_outliers={removed_total}")
 
 
 def _load_partitioned_tensors(tensors_dir: Path):
@@ -201,26 +200,26 @@ def _write_cv_table(run_dir: Path, rows):
             fh.write(f"{hidden},{lr!r},{fold},{best_epoch},{val!r}\n")
 
 
-def _train_tensors(train_tensors, prep_dir: Path, run_dir: Path, args, cells,
-                   hyper: HyperParams):
+def _train(prep_dir: Path, run_dir: Path, args, cells, hyper: HyperParams) -> str:
     """Train every cell's folds once; the winning cell's fold models are the ensemble."""
+    train_tensors = _load_partitioned_tensors(prep_dir)["train"]
     run_dir.mkdir(parents=True, exist_ok=True)
     ids = [t.admission_id for t in train_tensors]
     labels = [t.label for t in train_tensors]
     plan = make_folds(ids, labels, k=args.folds, seed=args.seed + FOLDS_SEED_OFFSET)
     result = grid_search(train_tensors, plan, hyper, cells, jobs=args.jobs)
     best = result.best
-    members = [r.params for r in result.results]
-    cell_mean = next(m for h, lr, m in result.cell_means
-                     if h == best.hidden_size and lr == best.learning_rate)
+    # an earlier run's checkpoints go only now, so a run that diverges leaves them intact
+    for stale in run_dir.glob("ensemble_fold*.ckpt"):
+        stale.unlink()
     _write_run_config(run_dir, prep_dir, args, cells, best)
     _write_cv_table(run_dir, result.rows)
-    for fold, member in enumerate(members):
-        save_params(member, run_dir / f"ensemble_fold{fold}.ckpt")
+    for fold, r in enumerate(result.results):
+        save_params(r.params, run_dir / f"ensemble_fold{fold}.ckpt")
     _write_manifest(run_dir)
-    summary = (f"hidden={best.hidden_size} lr={best.learning_rate!r} "
-               f"cv_pr_auc={cell_mean!r} folds={args.folds}")
-    return members, summary
+    cv_mean = float(np.mean([r.best_val for r in result.results]))
+    return (f"hidden={best.hidden_size} lr={best.learning_rate!r} "
+            f"cv_pr_auc={cv_mean!r} folds={args.folds}")
 
 
 def _read_manifest(run_dir: Path):
@@ -281,7 +280,13 @@ def _load_ensemble(run_dir: Path, prep_dir: Path):
     return members
 
 
-def _evaluate_ensemble(members, test_tensors, out_dir: Path, baseline2_seed: int):
+def _evaluate(prep_dir: Path, run_dir: Path, out_dir: Path, master_seed: int) -> str:
+    """Score the test side of prep_dir with the run's ensemble; write the report and curve."""
+    test_tensors = _load_partitioned_tensors(prep_dir)["test"]
+    if not test_tensors:
+        raise ConfigError("no test tensors in the cache")
+    members = _load_ensemble(run_dir, prep_dir)
+    baseline2_seed = master_seed + BASELINE2_SEED_OFFSET
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = np.array([t.label for t in test_tensors], dtype=int)
     scores = ensemble_scores(members, test_tensors)
@@ -315,11 +320,7 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cohort = read_cohort(args.cohort)
-    by_partition, removed = _preprocess_cohort(
-        cohort, Path(args.out_dir), args.seed, args.test_fraction)
-    print(f"tensors={len(by_partition['train']) + len(by_partition['test'])} "
-          f"train={len(by_partition['train'])} test={len(by_partition['test'])} "
-          f"removed_outliers={removed}")
+    print(_preprocess_cohort(cohort, Path(args.out_dir), args.seed, args.test_fraction))
     return 0
 
 
@@ -341,21 +342,13 @@ def _grid_cells_from(args, hyper: HyperParams):
 def cmd_train(args) -> int:
     hyper = _configured(HyperParams, args)
     cells = _grid_cells_from(args, hyper)
-    by_partition = _load_partitioned_tensors(Path(args.tensors))
-    _, summary = _train_tensors(by_partition["train"], Path(args.tensors),
-                                Path(args.run_dir), args, cells, hyper)
-    print(summary)
+    print(_train(Path(args.tensors), Path(args.run_dir), args, cells, hyper))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    by_partition = _load_partitioned_tensors(Path(args.tensors))
-    if not by_partition["test"]:
-        raise ConfigError("no test tensors in the cache")
-    members = _load_ensemble(Path(args.run_dir), Path(args.tensors))
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.run_dir)
-    print(_evaluate_ensemble(members, by_partition["test"], out_dir,
-                             baseline2_seed=args.seed + BASELINE2_SEED_OFFSET))
+    print(_evaluate(Path(args.tensors), Path(args.run_dir),
+                    Path(args.out_dir or args.run_dir), args.seed))
     return 0
 
 
@@ -367,12 +360,10 @@ def cmd_pipeline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cohort = generate_cohort(config)
     write_cohort(cohort, out / "cohort.bin")
-    by_partition, _ = _preprocess_cohort(cohort, out / "prep", args.seed, args.test_fraction)
+    _preprocess_cohort(cohort, out / "prep", args.seed, args.test_fraction)
     del cohort
-    members, _ = _train_tensors(by_partition["train"], out / "prep", out / "run",
-                                args, cells, hyper)
-    print(_evaluate_ensemble(members, by_partition["test"], out / "eval",
-                             baseline2_seed=args.seed + BASELINE2_SEED_OFFSET))
+    _train(out / "prep", out / "run", args, cells, hyper)
+    print(_evaluate(out / "prep", out / "run", out / "eval", args.seed))
     return 0
 
 
@@ -457,21 +448,9 @@ def entrypoint(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except HemocultError as exc:
-        message = str(exc)
-        if isinstance(exc, TrainingDivergence):
-            where = []
-            if hasattr(exc, "cell"):
-                where.append(f"cell hidden={exc.cell[0]} lr={exc.cell[1]}")
-            if hasattr(exc, "fold"):
-                where.append(f"fold {exc.fold}")
-            suffix = f" ({', '.join(where)})" if where else ""
-            message = f"training diverged: {exc}{suffix}"
-        print(f"error: {message}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
+    except (HemocultError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code if isinstance(exc, HemocultError) else 3
 
 
 def main():

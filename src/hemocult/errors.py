@@ -56,17 +56,22 @@ class FoldError(HemocultError):
 
 
 class TrainingDivergence(HemocultError):
-    """Training produced a non-finite loss. Carries the epoch and loss value."""
+    """Training produced a non-finite loss; names the epoch, and the cell and fold if known."""
     exit_code = 5
 
-    def __init__(self, epoch: int, loss: float):
-        self.epoch = epoch
-        self.loss = loss
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}")
+    def __init__(self, epoch: int, loss: float, cell=None, fold=None):
+        # all four go to args, so the default pickling rebuilds it across processes
+        super().__init__(epoch, loss, cell, fold)
+        self.epoch, self.loss, self.cell, self.fold = epoch, loss, cell, fold
 
-    def __reduce__(self):
-        # exceptions cross process boundaries during parallel fold training
-        return (type(self), (self.epoch, self.loss))
+    def __str__(self):
+        where = []
+        if self.cell is not None:
+            where.append(f"cell hidden={self.cell[0]} lr={self.cell[1]}")
+        if self.fold is not None:
+            where.append(f"fold {self.fold}")
+        suffix = f" ({', '.join(where)})" if where else ""
+        return f"training diverged: non-finite loss {self.loss!r} at epoch {self.epoch}{suffix}"
 
 
 class ContractViolationError(HemocultError):

@@ -208,7 +208,11 @@ def _train_fold(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
     val_ids = set(plan.folds[fold])
     train = [t for t in tensors if t.admission_id not in val_ids]
     val = [t for t in tensors if t.admission_id in val_ids]
-    return train_one(train, val, replace(hyper, seed=hyper.seed + fold))
+    try:
+        return train_one(train, val, replace(hyper, seed=hyper.seed + fold))
+    except TrainingDivergence as exc:
+        raise TrainingDivergence(exc.epoch, exc.loss,
+                                 (hyper.hidden_size, hyper.learning_rate), fold) from None
 
 
 def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
@@ -219,21 +223,13 @@ def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
     come back in fold order either way.
     """
     task = partial(_train_fold, tensors, plan, hyper)
-    results: List[TrainResult] = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        try:
-            for result in (pool.map if pool else map)(task, range(plan.k)):
-                results.append(result)
-        except TrainingDivergence as exc:
-            exc.fold = len(results)
-            raise
-    return results
+        return list((pool.map if pool else map)(task, range(plan.k)))
 
 
 @dataclass
 class GridResult:
     best: HyperParams
-    cell_means: List[Tuple[int, float, float]]  # (hidden, lr, mean val PR AUC)
     rows: List[Tuple[int, float, int, int, float]]  # (hidden, lr, fold, best_epoch, val PR AUC)
     results: List[TrainResult]  # the winning cell's folds, in fold order
 
@@ -250,26 +246,20 @@ def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperPara
     if not grid:
         raise ConfigError("empty hyperparameter grid")
     rows = []
-    cell_means = []
     best_key = best_results = None
     for hidden, lr in grid:
         cell_hyper = replace(base, hidden_size=hidden, learning_rate=lr)
-        try:
-            results = train_folds(tensors, plan, cell_hyper, jobs=jobs)
-        except TrainingDivergence as exc:
-            exc.cell = (hidden, lr)
-            raise
+        results = train_folds(tensors, plan, cell_hyper, jobs=jobs)
         rows.extend((hidden, lr, fold, r.best_epoch, r.best_val)
                     for fold, r in enumerate(results))
         mean = float(np.mean([r.best_val for r in results]))
-        cell_means.append((hidden, lr, mean))
         key = (-mean, hidden, lr)
         if best_key is None or key < best_key:
             best_key, best_results = key, results
         del results  # a loser's models must not stay alive while the next cell trains
     _, best_hidden, best_lr = best_key
     best = replace(base, hidden_size=best_hidden, learning_rate=best_lr)
-    return GridResult(best=best, cell_means=cell_means, rows=rows, results=best_results)
+    return GridResult(best=best, rows=rows, results=best_results)
 
 
 def ensemble_scores(members: Sequence[lstm.ModelParams], tensors: Sequence[SampleTensor],

@@ -1,12 +1,15 @@
 """Shared builders for the test suite."""
 
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 
+import hemocult
 from hemocult.cli import entrypoint
 from hemocult.prep import SampleTensor
 
@@ -26,9 +29,14 @@ def make_tensors(n, n_pos, seed=0, shift=0.8, noise=0.1):
 
 
 def run_cli(*args):
-    """Run the CLI in a fresh interpreter; returns the completed process."""
+    """Run the CLI in a fresh interpreter; returns the completed process.
+
+    The child imports the same hemocult package as this process, installed or not.
+    """
+    src = str(Path(hemocult.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "hemocult", *map(str, args)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def run_inprocess(*argv):

@@ -453,6 +453,66 @@ def test_pipeline_end_to_end(tmp_path):
         sha256(tmp_path / "a" / "run" / "ensemble_fold0.ckpt")
 
 
+def test_pipeline_matches_stage_commands(tmp_path):
+    pipe, staged = tmp_path / "pipe", tmp_path / "staged"
+    code, pipe_out, pipe_err = run("pipeline", "--out-dir", pipe, "--seed", 3,
+                                   *TINY_COHORT, *TINY_TRAIN)
+    assert code == 0 and pipe_err == ""
+    staged.mkdir()
+    lines = []
+    for argv in (["generate", "--out", staged / "cohort.bin", *TINY_COHORT],
+                 ["preprocess", "--cohort", staged / "cohort.bin", "--out-dir", staged / "prep"],
+                 ["train", "--tensors", staged / "prep", "--run-dir", staged / "run",
+                  *TINY_TRAIN],
+                 ["evaluate", "--tensors", staged / "prep", "--run-dir", staged / "run",
+                  "--out-dir", staged / "eval"]):
+        code, out, err = run(*argv, "--seed", 3)
+        assert code == 0 and err == "", argv
+        lines.append(out)
+    assert pipe_out == lines[-1]
+    assert pipeline_listing(pipe) == pipeline_listing(staged) == PIPELINE_FILES
+    for rel in PIPELINE_FILES:
+        assert (pipe / rel).read_bytes() == (staged / rel).read_bytes(), rel
+
+
+def test_pipeline_with_empty_test_side_exits_2(tmp_path):
+    # 5 admissions at a test fraction of 0.05 round to no test admission at all
+    code, _, err = run("pipeline", "--out-dir", tmp_path, "--n", 5, "--positives", 2,
+                       "--test-fraction", 0.05, "--folds", 2, "--max-epochs", 1,
+                       "--hidden", 2, "--horizon", "12:13")
+    assert code == 2 and err == "error: no test tensors in the cache\n"
+
+
+def _evaluate_run(prep, run_dir, out_dir):
+    code, _, err = run("evaluate", "--tensors", prep, "--run-dir", run_dir,
+                       "--out-dir", out_dir)
+    assert code == 0, err
+    return sorted(p.name for p in Path(run_dir).glob("ensemble_fold*.ckpt"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rerun_with_fewer_folds_replaces_checkpoints(workspace, tmp_path):
+    prep = workspace["root"] / "prep"
+    train = ["train", "--tensors", prep, *TINY_TRAIN]
+    assert run(*train, "--run-dir", tmp_path / "run")[0] == 0
+    # a diverging rerun fails before it touches the earlier run
+    code, _, _ = run(*train, "--run-dir", tmp_path / "run", "--folds", 2, "--w-pos", "inf")
+    assert code == 5
+    assert len(_evaluate_run(prep, tmp_path / "run", tmp_path / "eval0")) == 4
+    assert run(*train, "--run-dir", tmp_path / "run", "--folds", 2)[0] == 0
+    assert run(*train, "--run-dir", tmp_path / "fresh", "--folds", 2)[0] == 0
+    for name in ("config.txt", "cv_table.csv", "manifest.txt"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert _evaluate_run(prep, tmp_path / "run", tmp_path / "eval1") == \
+        ["ensemble_fold0.ckpt", "ensemble_fold1.ckpt"]
+
+    pipeline = ["pipeline", "--out-dir", tmp_path / "pipe", *TINY_COHORT, *TINY_TRAIN]
+    assert run(*pipeline)[0] == 0
+    assert run(*pipeline, "--folds", 2)[0] == 0
+    assert _evaluate_run(tmp_path / "pipe" / "prep", tmp_path / "pipe" / "run",
+                         tmp_path / "eval2") == ["ensemble_fold0.ckpt", "ensemble_fold1.ckpt"]
+
+
 def test_quick_profile_writes_same_file_set(tmp_path):
     code, out, _ = run("pipeline", "--out-dir", tmp_path, "--seed", 0, "--quick",
                        "--folds", 4)

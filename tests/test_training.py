@@ -286,7 +286,10 @@ def test_train_folds_tags_divergent_fold():
     plan = make_folds(ids, labels, k=2, seed=0)
     with pytest.raises(TrainingDivergence) as info:
         train_folds(tensors, plan, replace(SMALL_HYPER, w_pos=float("inf")))
-    assert info.value.fold == 0  # every fold diverges; the first one reports
+    exc = info.value
+    assert exc.fold == 0  # every fold diverges; the first one reports
+    assert exc.cell == (SMALL_HYPER.hidden_size, SMALL_HYPER.learning_rate)
+    assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
 
 
 def test_grid_search_single_cell():
@@ -296,7 +299,7 @@ def test_grid_search_single_cell():
     plan = make_folds(ids, labels, k=5, seed=2)
     result = grid_search(tensors, plan, SMALL_HYPER, grid=[(2, 0.05)])
     assert (result.best.hidden_size, result.best.learning_rate) == (2, 0.05)
-    assert len(result.rows) == 5 and len(result.cell_means) == 1
+    assert len(result.rows) == 5 and {row[:2] for row in result.rows} == {(2, 0.05)}
     direct = train_folds(tensors, plan, SMALL_HYPER)
     assert [row[4] for row in result.rows] == [r.best_val for r in direct]
     assert [row[3] for row in result.rows] == [r.best_epoch for r in direct]
@@ -322,7 +325,8 @@ def test_grid_search_prefers_learning_cell(monkeypatch):
     result = grid_search(tensors, plan, base, grid=[(2, 0.05), (2, 1e-12)])
     assert [h.learning_rate for h in calls] == [0.05, 1e-12]  # each cell trains once
     assert result.best.learning_rate == 0.05
-    means = {(h, lr): m for h, lr, m in result.cell_means}
+    means = {cell: np.mean([row[4] for row in result.rows if row[:2] == cell])
+             for cell in [(2, 0.05), (2, 1e-12)]}
     assert means[(2, 0.05)] > means[(2, 1e-12)]
     winner = train_folds(tensors, plan, replace(base, learning_rate=0.05))
     assert [r.history for r in result.results] == [r.history for r in winner]
