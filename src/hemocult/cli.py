@@ -26,8 +26,8 @@ from .cohort import (CohortConfig, cohort_summary, generate_cohort,
 from .errors import (CheckpointError, ConfigError, ContractViolationError,
                      FormatError, HemocultError)
 from .lstm import load_params, save_params
-from .metrics import (EvalReport, baseline_constant, baseline_proportional,
-                      export_curve, export_curve_svg, pr_curve)
+from .metrics import (baseline_constant, baseline_proportional, export_curve,
+                      export_curve_svg, pr_curve)
 from .prep import (build_tensor, filter_outliers, fit_normalizer,
                    read_tensors, write_stats, write_tensors)
 from .training import (GRID_HIDDEN, GRID_LR, HyperParams, ensemble_scores,
@@ -141,11 +141,11 @@ def _check_flags(args):
 
 def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: float) -> str:
     """Split first, fit stats on the training side only, tensorize everything."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     ids = [series.admission_id for series in cohort]
     labels = [series.label for series in cohort]
     train_ids, test_ids = stratified_split(ids, labels, test_fraction,
                                            seed=master_seed + SPLIT_SEED_OFFSET)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once the split is accepted
     train_set = set(train_ids)
     filtered = []
     removed_total = 0
@@ -176,21 +176,22 @@ def _load_partitioned_tensors(tensors_dir: Path):
     return by_partition
 
 
+def _write_record(path, mapping):
+    """One key=value line per entry: floats as repr, everything else as str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in mapping.items():
+            fh.write(f"{key}={value!r}\n" if isinstance(value, float) else f"{key}={value}\n")
+
+
 def _write_run_config(run_dir: Path, prep_dir: Path, args, cells, hyper: HyperParams):
-    lines = [f"master_seed={args.seed}",
-             f"split_seed={args.seed + SPLIT_SEED_OFFSET}",
-             f"folds_seed={args.seed + FOLDS_SEED_OFFSET}",
-             f"baseline2_seed={args.seed + BASELINE2_SEED_OFFSET}",
-             f"grid={int(args.grid)}",
-             f"grid_cells={';'.join(f'{h}x{lr!r}' for h, lr in cells) if args.grid else '-'}",
-             f"folds={args.folds}",
-             f"jobs={args.jobs}"]
-    for key, value in asdict(hyper).items():
-        lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
-    for key, value in _prep_digests(prep_dir).items():
-        lines.append(f"{key}={value}")
-    with open(run_dir / "config.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """What train decided; seed= is the master seed, and the other stages record their own."""
+    _write_record(run_dir / "config.txt", {
+        "folds_seed": args.seed + FOLDS_SEED_OFFSET,
+        "cells": ";".join(f"{h}x{lr!r}" for h, lr in cells),
+        "folds": args.folds,
+        **asdict(hyper),
+        **_prep_digests(prep_dir),
+    })
 
 
 def _write_cv_table(run_dir: Path, rows):
@@ -291,23 +292,22 @@ def _evaluate(prep_dir: Path, run_dir: Path, out_dir: Path, master_seed: int) ->
     labels = np.array([t.label for t in test_tensors], dtype=int)
     scores = ensemble_scores(members, test_tensors)
     curve = pr_curve(scores, labels)
-    baseline1 = baseline_constant(labels)
-    baseline2 = baseline_proportional(labels, seed=baseline2_seed)
-    report = EvalReport(
-        test_pr_auc=curve.auc,
-        baseline1_pr_auc=baseline1,
-        baseline2_pr_auc=baseline2,
-        prevalence=float(labels.sum() / labels.size),
-        n=int(labels.size),
-        n_pos=int(labels.sum()),
-    )
+    # Python floats and ints only: a numpy scalar's repr is not its value
+    report = {
+        "test_pr_auc": curve.auc,
+        "baseline1_pr_auc": baseline_constant(labels),
+        "baseline2_pr_auc": baseline_proportional(labels, seed=baseline2_seed),
+        "prevalence": float(labels.sum() / labels.size),
+        "n": int(labels.size),
+        "n_pos": int(labels.sum()),
+        "baseline2_seed": baseline2_seed,
+    }
     export_curve(curve, out_dir / "pr_curve.csv")
     export_curve_svg(curve, out_dir / "pr_curve.svg")
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report.lines() + [f"baseline2_seed={baseline2_seed}"]) + "\n")
-    return (f"test_pr_auc={report.test_pr_auc!r} "
-            f"baseline1={report.baseline1_pr_auc!r} "
-            f"baseline2={report.baseline2_pr_auc!r}")
+    _write_record(out_dir / "report.txt", report)
+    return (f"test_pr_auc={report['test_pr_auc']!r} "
+            f"baseline1={report['baseline1_pr_auc']!r} "
+            f"baseline2={report['baseline2_pr_auc']!r}")
 
 
 def cmd_generate(args) -> int:
@@ -390,7 +390,6 @@ def _add_train_flags(sub):
     sub.add_argument("--batch-size", type=int, default=None)
     sub.add_argument("--patience", type=int, default=None)
     sub.add_argument("--w-pos", type=float, default=None)
-    sub.add_argument("--w-neg", type=float, default=None)
     sub.add_argument("--folds", type=int, default=10)
     sub.add_argument("--jobs", type=int, default=1, help="parallel fold trainings")
 

@@ -22,26 +22,6 @@ class PRCurve:
     auc: float
 
 
-@dataclass
-class EvalReport:
-    test_pr_auc: float
-    baseline1_pr_auc: float
-    baseline2_pr_auc: float
-    prevalence: float
-    n: int
-    n_pos: int
-
-    def lines(self) -> List[str]:
-        return [
-            f"test_pr_auc={self.test_pr_auc!r}",
-            f"baseline1_pr_auc={self.baseline1_pr_auc!r}",
-            f"baseline2_pr_auc={self.baseline2_pr_auc!r}",
-            f"prevalence={self.prevalence!r}",
-            f"n={self.n}",
-            f"n_pos={self.n_pos}",
-        ]
-
-
 def _check_inputs(scores, labels):
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)

@@ -16,7 +16,7 @@ Tensor cache layout (tensors.bin), all fields little-endian:
     per record, until the end of the file:
         u32 id length, id bytes (UTF-8)
         u8 label (0/1)
-        72 x 9 f64 values, row-major (bin, then variable column)
+        72 x 9 finite f64 values, row-major (bin, then variable column)
 """
 
 import struct
@@ -236,6 +236,8 @@ def read_tensors(path) -> List[SampleTensor]:
             if label not in (0, 1):
                 raise reader.error(f"label byte {label} for {admission_id}")
             values = reader.array(N_BINS * N_VARIABLES, F64, f"values of {admission_id}")
+            if not np.isfinite(values).all():
+                raise reader.error(f"non-finite value in {admission_id}")
             tensors.append(SampleTensor(values.reshape(N_BINS, N_VARIABLES), label, admission_id))
     return tensors
 

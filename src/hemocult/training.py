@@ -37,7 +37,6 @@ class HyperParams:
     learning_rate: float = 0.01
     max_epochs: int = 150
     w_pos: float = 8.0
-    w_neg: float = 1.0
     batch_size: int = 32
     seed: int = 0
     patience: int = 1
@@ -49,8 +48,8 @@ class HyperParams:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.w_pos <= 0 or self.w_neg <= 0:
-            raise ConfigError("class weights must be positive")
+        if self.w_pos <= 0:
+            raise ConfigError(f"w_pos must be > 0, got {self.w_pos}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
@@ -98,6 +97,9 @@ def stratified_split(ids: Sequence[str], labels: Sequence[int],
     n_test = _round_half_up(test_fraction * len(ids))
     n_test_pos = _round_half_up(test_fraction * len(pos))
     n_test_neg = n_test - n_test_pos
+    if n_test_pos == 0:
+        raise StratificationError(f"test fraction {test_fraction} of {len(pos)} positives "
+                                  "puts no positive on the test side")
     if not (0 <= n_test_pos <= len(pos) and 0 <= n_test_neg <= len(neg)):
         raise StratificationError(
             f"infeasible split: {n_test_pos} positives / {n_test_neg} negatives requested")
@@ -168,37 +170,39 @@ def train_one(train_tensors: Sequence[SampleTensor], val_tensors: Sequence[Sampl
     best_epoch = 0
     best_params = params.copy()
     drops = 0
-    for epoch in range(1, hyper.max_epochs + 1):
-        order = rng.permutation(X.shape[0])
-        for lo in range(0, X.shape[0], hyper.batch_size):
-            idx = order[lo:lo + hyper.batch_size]
-            Xb = np.ascontiguousarray(X[idx])
-            yb = y[idx]
-            _, cache = lstm.forward_batch(Xb, params)
-            loss_sum, grads = lstm.backward_batch(Xb, yb, params, hyper.w_pos, hyper.w_neg, cache)
-            batch_loss = loss_sum / idx.size
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergence(epoch, batch_loss)
-            step = hyper.learning_rate / idx.size
-            for (_, arr), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
-                arr -= step * g
-        if val_metric is not None:
-            metric = float(val_metric(params, epoch))
-        else:
-            metric = pr_auc(_score_matrix(params, val_X), val_labels)
-        history.append(metric)
-        if metric > best_val:
-            best_val = metric
-            best_epoch = epoch
-            best_params = params.copy()
-        if metric > EARLY_STOP_THRESHOLD:
-            break
-        if len(history) >= 2 and metric < history[-2]:
-            drops += 1
-            if drops >= hyper.patience:
+    # a non-finite loss is refused below, so numpy's overflow warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, hyper.max_epochs + 1):
+            order = rng.permutation(X.shape[0])
+            for lo in range(0, X.shape[0], hyper.batch_size):
+                idx = order[lo:lo + hyper.batch_size]
+                Xb = np.ascontiguousarray(X[idx])
+                yb = y[idx]
+                _, cache = lstm.forward_batch(Xb, params)
+                loss_sum, grads = lstm.backward_batch(Xb, yb, params, hyper.w_pos, 1.0, cache)
+                batch_loss = loss_sum / idx.size
+                if not np.isfinite(batch_loss):
+                    raise TrainingDivergence(epoch, batch_loss)
+                step = hyper.learning_rate / idx.size
+                for (_, arr), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
+                    arr -= step * g
+            if val_metric is not None:
+                metric = float(val_metric(params, epoch))
+            else:
+                metric = pr_auc(_score_matrix(params, val_X), val_labels)
+            history.append(metric)
+            if metric > best_val:
+                best_val = metric
+                best_epoch = epoch
+                best_params = params.copy()
+            if metric > EARLY_STOP_THRESHOLD:
                 break
-        else:
-            drops = 0
+            if len(history) >= 2 and metric < history[-2]:
+                drops += 1
+                if drops >= hyper.patience:
+                    break
+            else:
+                drops = 0
     return TrainResult(params=best_params, history=history,
                        best_epoch=best_epoch, best_val=best_val)
 

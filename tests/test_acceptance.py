@@ -12,6 +12,7 @@ import shutil
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from helpers import make_tensors, run_cli
@@ -138,6 +139,7 @@ def test_c06_stratified_split_arithmetic():
     assert max(per_fold) - min(per_fold) <= 1
 
 
+@pytest.mark.slow
 def test_c07_end_to_end_benchmark(tmp_path):
     out = tmp_path / "full"
     start = time.perf_counter()
@@ -152,6 +154,7 @@ def test_c07_end_to_end_benchmark(tmp_path):
     assert elapsed < 900.0, f"pipeline took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_c08_null_signal_control(tmp_path):
     aucs = []
     prevalence = None
@@ -171,6 +174,7 @@ def test_c08_null_signal_control(tmp_path):
         f"mean null AUC {mean:.4f} vs prevalence {prevalence:.4f} (se {stderr:.4f})"
 
 
+@pytest.mark.slow
 def test_c09_run_determinism(tmp_path):
     summaries = []
     digests = []

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import shutil
+import struct
 from argparse import Namespace
 from contextlib import redirect_stdout
 from itertools import product
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_cli
 from helpers import run_inprocess as run
 from hemocult import training
 from hemocult.cli import _grid_cells_from, entrypoint
@@ -153,8 +155,12 @@ def test_train_run_directory_contents(workspace):
         assert 0.0 <= float(val) <= 1.0
     config = dict(line.split("=", 1)
                   for line in (run_dir / "config.txt").read_text().splitlines())
-    assert config["master_seed"] == "5" and config["folds"] == "4"
-    assert config["hidden_size"] == "2" and config["grid"] == "0"
+    assert list(config) == ["folds_seed", "cells", "folds", "hidden_size", "learning_rate",
+                            "max_epochs", "w_pos", "batch_size", "seed", "patience",
+                            "prep_sha256.tensors.bin", "prep_sha256.split.tsv",
+                            "prep_sha256.stats.tsv"]
+    assert config["seed"] == "5" and config["folds"] == "4"
+    assert config["hidden_size"] == "2" and config["cells"] == "2x0.05"
     for name in ("tensors.bin", "split.tsv", "stats.tsv"):
         assert config[f"prep_sha256.{name}"] == sha256(workspace["root"] / "prep" / name)
     match = re.fullmatch(r"hidden=2 lr=0\.05 cv_pr_auc=([0-9.e-]+) folds=4\n",
@@ -242,13 +248,39 @@ def test_malformed_grid_list_exits_2(workspace, tmp_path, flag, value):
     assert code == 2 and err.startswith(f"error: {flag}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_5(workspace, tmp_path):
     code, _, err = run("train", "--tensors", workspace["root"] / "prep",
                        "--run-dir", tmp_path, "--w-pos", "inf", "--folds", 2,
                        "--max-epochs", 1)
     assert code == 5
     assert "training diverged" in err and "fold 0" in err
+
+
+def test_divergence_stderr_is_one_line(workspace, tmp_path):
+    # a fresh interpreter, so numpy warnings would reach stderr as they do for a user
+    errs = []
+    for jobs in (1, 2):
+        proc = run_cli("train", "--tensors", workspace["root"] / "prep",
+                       "--run-dir", tmp_path / f"jobs{jobs}", "--w-pos", "inf",
+                       "--folds", 2, "--max-epochs", 1, "--jobs", jobs)
+        assert proc.returncode == 5 and proc.stdout == ""
+        assert re.fullmatch(r"error: training diverged: [^\n]*"
+                            r"\(cell hidden=10 lr=0\.01, fold 0\)\n", proc.stderr), proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+
+
+def test_train_run_directory_does_not_depend_on_jobs(workspace, tmp_path):
+    for jobs in (1, 2):
+        code, _, err = run("train", "--tensors", workspace["root"] / "prep",
+                           "--run-dir", tmp_path / f"jobs{jobs}", "--seed", 5,
+                           *TINY_TRAIN, "--jobs", jobs)
+        assert code == 0, err
+    names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "jobs2").iterdir())
+    for name in names:
+        assert (tmp_path / "jobs1" / name).read_bytes() == \
+            (tmp_path / "jobs2" / name).read_bytes(), name
 
 
 def test_train_missing_tensors_exits_3(tmp_path):
@@ -287,6 +319,53 @@ def test_evaluate_report_and_curve(workspace, tmp_path):
     assert float(csv_lines[-1].split("=", 1)[1]) == float(match.group(1))
     svg = (tmp_path / "pr_curve.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def test_each_record_holds_its_own_stage_seed(workspace, tmp_path):
+    root = workspace["root"]
+    for argv in (["preprocess", "--cohort", root / "cohort.bin", "--out-dir", tmp_path / "prep",
+                  "--seed", 0],
+                 ["train", "--tensors", tmp_path / "prep", "--run-dir", tmp_path / "run",
+                  "--seed", 1, *TINY_TRAIN],
+                 ["evaluate", "--tensors", tmp_path / "prep", "--run-dir", tmp_path / "run",
+                  "--out-dir", tmp_path / "eval", "--seed", 2]):
+        code, _, err = run(*argv)
+        assert code == 0, (argv, err)
+    config = dict(line.split("=", 1)
+                  for line in (tmp_path / "run" / "config.txt").read_text().splitlines())
+    assert "split_seed" not in config and "baseline2_seed" not in config
+    assert config["seed"] == "1" and config["folds_seed"] == str(1 + 3_000_017)
+    report = dict(line.split("=", 1)
+                  for line in (tmp_path / "eval" / "report.txt").read_text().splitlines())
+    assert report["baseline2_seed"] == str(2 + 2_000_003)
+
+
+def _nan_into(tensors_bin, admission_id):
+    """Overwrite the first value of one admission's record with NaN."""
+    blob = bytearray(tensors_bin.read_bytes())
+    raw = admission_id.encode()
+    at = blob.index(struct.pack("<I", len(raw)) + raw) + 4 + len(raw) + 1  # past the label
+    blob[at:at + 8] = struct.pack("<d", math.nan)
+    tensors_bin.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_non_finite_tensor_value_exits_6(workspace, tmp_path, side):
+    root = workspace["root"]
+    prep_copy = tmp_path / "prep"
+    shutil.copytree(root / "prep", prep_copy)
+    split = (prep_copy / "split.tsv").read_text().splitlines()[1:]
+    aid = next(line.split("\t")[0] for line in split if line.endswith("\t" + side))
+    _nan_into(prep_copy / "tensors.bin", aid)
+    if side == "train":
+        argv = ["train", "--tensors", prep_copy, "--run-dir", tmp_path / "run", *TINY_TRAIN]
+    else:
+        argv = ["evaluate", "--tensors", prep_copy, "--run-dir", root / "run",
+                "--out-dir", tmp_path / "eval"]
+    code, out, err = run(*argv)
+    assert code == 6 and out == ""
+    assert err == f"error: {prep_copy / 'tensors.bin'}: non-finite value in {aid}\n"
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
 
 
 def test_evaluate_defaults_to_run_dir(workspace, tmp_path):
@@ -475,12 +554,29 @@ def test_pipeline_matches_stage_commands(tmp_path):
         assert (pipe / rel).read_bytes() == (staged / rel).read_bytes(), rel
 
 
-def test_pipeline_with_empty_test_side_exits_2(tmp_path):
+def test_pipeline_with_empty_test_side_exits_4(tmp_path):
     # 5 admissions at a test fraction of 0.05 round to no test admission at all
     code, _, err = run("pipeline", "--out-dir", tmp_path, "--n", 5, "--positives", 2,
                        "--test-fraction", 0.05, "--folds", 2, "--max-epochs", 1,
                        "--hidden", 2, "--horizon", "12:13")
-    assert code == 2 and err == "error: no test tensors in the cache\n"
+    assert code == 4
+    assert err == ("error: test fraction 0.05 of 2 positives puts no positive "
+                   "on the test side\n")
+    assert not (tmp_path / "prep").exists() and not (tmp_path / "run").exists()
+
+
+def test_test_side_without_positive_exits_4(tmp_path):
+    cohort = ["--n", 100, "--positives", 4, "--horizon", "12:24", "--test-fraction", 0.1]
+    message = "error: test fraction 0.1 of 4 positives puts no positive on the test side\n"
+    code, _, _ = run("generate", "--out", tmp_path / "cohort.bin", *cohort[:6])
+    assert code == 0
+    code, out, err = run("preprocess", "--cohort", tmp_path / "cohort.bin",
+                         "--out-dir", tmp_path / "prep", *cohort[6:])
+    assert (code, out, err) == (4, "", message)
+    assert not (tmp_path / "prep").exists()
+    code, out, err = run("pipeline", "--out-dir", tmp_path / "pipe", *cohort, *TINY_TRAIN)
+    assert (code, out, err) == (4, "", message)
+    assert not (tmp_path / "pipe" / "prep").exists() and not (tmp_path / "pipe" / "run").exists()
 
 
 def _evaluate_run(prep, run_dir, out_dir):
@@ -490,7 +586,6 @@ def _evaluate_run(prep, run_dir, out_dir):
     return sorted(p.name for p in Path(run_dir).glob("ensemble_fold*.ckpt"))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rerun_with_fewer_folds_replaces_checkpoints(workspace, tmp_path):
     prep = workspace["root"] / "prep"
     train = ["train", "--tensors", prep, *TINY_TRAIN]

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hemocult.errors import FormatError, ShapeError, UndefinedRecallError
-from hemocult.metrics import (EvalReport, baseline_constant,
-                              baseline_proportional, export_curve,
+from hemocult.metrics import (baseline_constant, baseline_proportional, export_curve,
                               export_curve_svg, import_curve, pr_auc, pr_curve)
 
 
@@ -175,15 +174,6 @@ def test_export_svg_structure(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg ")
     assert "<polyline" in text and text.rstrip().endswith("</svg>")
-
-
-def test_eval_report_lines():
-    report = EvalReport(test_pr_auc=0.9, baseline1_pr_auc=0.1,
-                        baseline2_pr_auc=0.12, prevalence=0.1, n=218, n_pos=23)
-    text = "\n".join(report.lines())
-    for key in ("test_pr_auc=", "baseline1_pr_auc=", "baseline2_pr_auc=",
-                "prevalence=", "n=218", "n_pos=23"):
-        assert key in text
 
 
 def test_auc_recomputable_from_points():

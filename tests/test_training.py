@@ -423,7 +423,7 @@ def test_hyperparams_validation():
     HyperParams().validate()
     bad = [dict(hidden_size=0), dict(learning_rate=0.0), dict(learning_rate=-1.0),
            dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
-           dict(max_epochs=0), dict(w_pos=0.0), dict(w_neg=-2.0),
+           dict(max_epochs=0), dict(w_pos=0.0),
            dict(batch_size=0), dict(patience=0)]
     for overrides in bad:
         with pytest.raises(ConfigError):
