@@ -131,6 +131,8 @@ def _configured(cls, args):
 def _check_flags(args):
     """The command's flags that no config class holds, checked before any file is touched."""
     flags = vars(args)
+    if args.seed < 0:  # every command has --seed, and numpy refuses a negative derived seed
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if "test_fraction" in flags and not 0.0 < args.test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {args.test_fraction}")
     if "folds" in flags and args.folds < 2:
@@ -169,10 +171,12 @@ def _load_partitioned_tensors(tensors_dir: Path):
     partition_of = read_split(tensors_dir / "split.tsv")
     by_partition = {"train": [], "test": []}
     for tensor in tensors:
-        partition = partition_of.get(tensor.admission_id)
+        partition = partition_of.pop(tensor.admission_id, None)  # ids in the cache are unique
         if partition is None:
             raise FormatError(f"{tensor.admission_id} missing from split file")
         by_partition[partition].append(tensor)
+    if partition_of:  # split ids left without a tensor: the cache lost records
+        raise FormatError(f"{min(partition_of)} missing from tensor cache")
     return by_partition
 
 
@@ -187,7 +191,7 @@ def _write_run_config(run_dir: Path, prep_dir: Path, args, cells, hyper: HyperPa
     """What train decided; seed= is the master seed, and the other stages record their own."""
     _write_record(run_dir / "config.txt", {
         "folds_seed": args.seed + FOLDS_SEED_OFFSET,
-        "cells": ";".join(f"{h}x{lr!r}" for h, lr in cells),
+        "cells": ";".join(f"{c.hidden_size}x{c.learning_rate!r}" for c in cells),
         "folds": args.folds,
         **asdict(hyper),
         **_prep_digests(prep_dir),
@@ -201,14 +205,14 @@ def _write_cv_table(run_dir: Path, rows):
             fh.write(f"{hidden},{lr!r},{fold},{best_epoch},{val!r}\n")
 
 
-def _train(prep_dir: Path, run_dir: Path, args, cells, hyper: HyperParams) -> str:
+def _train(prep_dir: Path, run_dir: Path, args, cells) -> str:
     """Train every cell's folds once; the winning cell's fold models are the ensemble."""
     train_tensors = _load_partitioned_tensors(prep_dir)["train"]
     run_dir.mkdir(parents=True, exist_ok=True)
     ids = [t.admission_id for t in train_tensors]
     labels = [t.label for t in train_tensors]
     plan = make_folds(ids, labels, k=args.folds, seed=args.seed + FOLDS_SEED_OFFSET)
-    result = grid_search(train_tensors, plan, hyper, cells, jobs=args.jobs)
+    result = grid_search(train_tensors, plan, cells, jobs=args.jobs)
     best = result.best
     # an earlier run's checkpoints go only now, so a run that diverges leaves them intact
     for stale in run_dir.glob("ensemble_fold*.ckpt"):
@@ -218,9 +222,8 @@ def _train(prep_dir: Path, run_dir: Path, args, cells, hyper: HyperParams) -> st
     for fold, r in enumerate(result.results):
         save_params(r.params, run_dir / f"ensemble_fold{fold}.ckpt")
     _write_manifest(run_dir)
-    cv_mean = float(np.mean([r.best_val for r in result.results]))
     return (f"hidden={best.hidden_size} lr={best.learning_rate!r} "
-            f"cv_pr_auc={cv_mean!r} folds={args.folds}")
+            f"cv_pr_auc={result.cv_mean!r} folds={args.folds}")
 
 
 def _read_manifest(run_dir: Path):
@@ -325,24 +328,23 @@ def cmd_preprocess(args) -> int:
 
 
 def _grid_cells_from(args, hyper: HyperParams):
-    """(hidden, lr) cells to train: the --grid cells, else the one configured cell."""
+    """The cells to train: hyper with each --grid (hidden, lr) pair, else hyper alone."""
     if not args.grid:
         if args.grid_hidden or args.grid_lr:
             raise ConfigError("--grid-hidden/--grid-lr require --grid")
-        return [(hyper.hidden_size, hyper.learning_rate)]
+        return [hyper]
     hiddens = (_parse_list(args.grid_hidden, int, "--grid-hidden") if args.grid_hidden
                else GRID_HIDDEN)
     rates = _parse_list(args.grid_lr, float, "--grid-lr") if args.grid_lr else GRID_LR
-    cells = [(h, lr) for h in hiddens for lr in rates]
-    for hidden, lr in cells:
-        replace(hyper, hidden_size=hidden, learning_rate=lr).validate()
+    cells = [replace(hyper, hidden_size=h, learning_rate=lr) for h in hiddens for lr in rates]
+    for cell in cells:
+        cell.validate()
     return cells
 
 
 def cmd_train(args) -> int:
-    hyper = _configured(HyperParams, args)
-    cells = _grid_cells_from(args, hyper)
-    print(_train(Path(args.tensors), Path(args.run_dir), args, cells, hyper))
+    cells = _grid_cells_from(args, _configured(HyperParams, args))
+    print(_train(Path(args.tensors), Path(args.run_dir), args, cells))
     return 0
 
 
@@ -354,15 +356,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     config = _configured(CohortConfig, args)
-    hyper = _configured(HyperParams, args)
-    cells = _grid_cells_from(args, hyper)
+    cells = _grid_cells_from(args, _configured(HyperParams, args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cohort = generate_cohort(config)
     write_cohort(cohort, out / "cohort.bin")
     _preprocess_cohort(cohort, out / "prep", args.seed, args.test_fraction)
     del cohort
-    _train(out / "prep", out / "run", args, cells, hyper)
+    _train(out / "prep", out / "run", args, cells)
     print(_evaluate(out / "prep", out / "run", out / "eval", args.seed))
     return 0
 

@@ -56,13 +56,14 @@ class FoldError(HemocultError):
 
 
 class TrainingDivergence(HemocultError):
-    """Training produced a non-finite loss; names the epoch, and the cell and fold if known."""
+    """Training produced a non-finite loss, or an update left a non-finite weight in `block`;
+    names the epoch, and the cell and fold if known."""
     exit_code = 5
 
-    def __init__(self, epoch: int, loss: float, cell=None, fold=None):
-        # all four go to args, so the default pickling rebuilds it across processes
-        super().__init__(epoch, loss, cell, fold)
-        self.epoch, self.loss, self.cell, self.fold = epoch, loss, cell, fold
+    def __init__(self, epoch: int, loss: float, cell=None, fold=None, block=None):
+        # all five go to args, so the default pickling rebuilds it across processes
+        super().__init__(epoch, loss, cell, fold, block)
+        self.epoch, self.loss, self.cell, self.fold, self.block = epoch, loss, cell, fold, block
 
     def __str__(self):
         where = []
@@ -71,7 +72,10 @@ class TrainingDivergence(HemocultError):
         if self.fold is not None:
             where.append(f"fold {self.fold}")
         suffix = f" ({', '.join(where)})" if where else ""
-        return f"training diverged: non-finite loss {self.loss!r} at epoch {self.epoch}{suffix}"
+        what = (f"non-finite loss {self.loss!r}" if self.block is None else
+                f"an update left a non-finite weight in block {self.block!r} "
+                f"(batch loss {self.loss!r})")
+        return f"training diverged: {what} at epoch {self.epoch}{suffix}"
 
 
 class ContractViolationError(HemocultError):

@@ -49,6 +49,12 @@ _SHAPES = {1: struct.Struct("<I"), 2: struct.Struct("<II")}  # block shape by nd
 _BLOCK_NAMES = ("fwd_W", "fwd_U", "fwd_b", "bwd_W", "bwd_U", "bwd_b", "head_w", "head_b")
 
 
+def _layout(H: int):
+    """(name, shape) of the eight blocks in checkpoint order, for hidden size H."""
+    cell = ((4 * H, N_INPUTS), (4 * H, H), (4 * H,))
+    return tuple(zip(_BLOCK_NAMES, cell + cell + ((2 * H,), (1,))))
+
+
 @dataclass
 class CellParams:
     """One direction's weights: gates stacked along the leading 4H axis."""
@@ -60,18 +66,6 @@ class CellParams:
     @property
     def hidden(self) -> int:
         return self.U.shape[1]
-
-    def validate(self):
-        H = self.U.shape[1] if self.U.ndim == 2 else -1
-        if H < 1 or self.U.shape != (4 * H, H):
-            raise ShapeError(f"recurrent weights have shape {self.U.shape}, want (4H, H)")
-        if self.W.ndim != 2 or self.W.shape[0] != 4 * H:
-            raise ShapeError(f"input weights have shape {self.W.shape}, want (4*{H}, n_in)")
-        if self.b.shape != (4 * H,):
-            raise ShapeError(f"bias has shape {self.b.shape}, want ({4 * H},)")
-        for arr in (self.W, self.U, self.b):
-            if not np.all(np.isfinite(arr)):
-                raise ShapeError("non-finite cell parameter")
 
     def copy(self) -> "CellParams":
         return CellParams(self.W.copy(), self.U.copy(), self.b.copy())
@@ -91,28 +85,24 @@ class ModelParams:
         return self.fwd.hidden
 
     def validate(self):
-        self.fwd.validate()
-        self.bwd.validate()
-        H = self.fwd.hidden
-        if self.bwd.hidden != H:
-            raise ShapeError("forward/backward hidden sizes differ")
-        if self.head_w.shape != (2 * H,):
-            raise ShapeError(f"head weights have shape {self.head_w.shape}, want ({2 * H},)")
-        if self.head_b.shape != (1,):
-            raise ShapeError(f"head bias has shape {self.head_b.shape}, want (1,)")
-        if not (np.all(np.isfinite(self.head_w)) and np.all(np.isfinite(self.head_b))):
-            raise ShapeError("non-finite head parameter")
+        """Every block has its _layout shape for the hidden size of fwd_U, and finite values."""
+        H = self.fwd.U.shape[-1] if self.fwd.U.ndim == 2 else 0
+        if H < 1:
+            raise ShapeError(f"block 'fwd_U' has shape {self.fwd.U.shape}, so no hidden size >= 1")
+        for (name, arr), (_, shape) in zip(self.named_arrays(), _layout(H)):
+            if arr.shape != shape:
+                raise ShapeError(f"block {name!r} has shape {arr.shape}, want {shape}")
+            if not np.isfinite(arr).all():
+                raise ShapeError(f"block {name!r} has a non-finite value")
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.fwd.copy(), self.bwd.copy(), self.head_w.copy(), self.head_b.copy())
 
     def named_arrays(self):
-        """Fixed (name, array) order shared by checkpoints and flatteners."""
-        return (
-            ("fwd_W", self.fwd.W), ("fwd_U", self.fwd.U), ("fwd_b", self.fwd.b),
-            ("bwd_W", self.bwd.W), ("bwd_U", self.bwd.U), ("bwd_b", self.bwd.b),
-            ("head_w", self.head_w), ("head_b", self.head_b),
-        )
+        """(name, array) in checkpoint order, shared by checkpoints and flatteners."""
+        arrays = (self.fwd.W, self.fwd.U, self.fwd.b, self.bwd.W, self.bwd.U, self.bwd.b,
+                  self.head_w, self.head_b)
+        return tuple(zip(_BLOCK_NAMES, arrays))
 
 
 def init_params(hidden_size: int, seed) -> ModelParams:
@@ -280,34 +270,30 @@ def save_params(p: ModelParams, path):
 
 def load_params(path) -> ModelParams:
     """Inverse of save_params; a malformed or inconsistent file raises CheckpointError."""
-    arrays = {}
+    arrays = []
     with open(path, "rb") as fh:
         reader = BlockReader(fh, path, CheckpointError)
         reader.magic(CHECKPOINT_MAGIC, "checkpoint magic")
         hidden, nblocks = reader.unpack(_HEADER, "checkpoint header")
         if nblocks != len(_BLOCK_NAMES):
             raise reader.error(f"expected {len(_BLOCK_NAMES)} blocks, found {nblocks}")
-        for expected in _BLOCK_NAMES:
+        for expected, want in _layout(hidden):
             (name_len,) = reader.unpack(U32, f"header of block {expected!r}")
             name = reader.raw(name_len, f"name of block {expected!r}")
             if name != expected.encode("utf-8"):
                 raise reader.error(f"block {name!r} where {expected!r} expected")
             (ndim,) = reader.unpack(U32, f"ndim of block {expected!r}")
-            if ndim not in _SHAPES:
-                raise reader.error(f"block {expected!r} has {ndim} dimensions")
+            if ndim != len(want):
+                raise reader.error(f"block {expected!r} has {ndim} dimensions, want {len(want)}")
             shape = reader.unpack(_SHAPES[ndim], f"shape of block {expected!r}")
-            arrays[expected] = reader.array(math.prod(shape), F64, f"block {expected}").reshape(shape)
+            if shape != want:
+                raise reader.error(f"block {expected!r} has shape {shape}, "
+                                   f"want {want} for hidden={hidden}")
+            arrays.append(reader.array(math.prod(shape), F64, f"block {expected}").reshape(shape))
         reader.finish("the last block")
-    p = ModelParams(
-        CellParams(arrays["fwd_W"], arrays["fwd_U"], arrays["fwd_b"]),
-        CellParams(arrays["bwd_W"], arrays["bwd_U"], arrays["bwd_b"]),
-        arrays["head_w"],
-        arrays["head_b"],
-    )
+    p = ModelParams(CellParams(*arrays[:3]), CellParams(*arrays[3:6]), *arrays[6:])
     try:
         p.validate()
     except ShapeError as exc:
         raise CheckpointError(f"{path}: inconsistent checkpoint: {exc}") from exc
-    if p.hidden_size != hidden:
-        raise CheckpointError(f"{path}: header hidden={hidden} but blocks imply {p.hidden_size}")
     return p

@@ -193,6 +193,8 @@ def read_stats(path) -> NormStats:
                 name, avg_s, std_s = parts
                 if name not in BY_NAME:
                     raise FormatError(f"{path}: unknown variable {name!r}")
+                if name in seen:
+                    raise FormatError(f"{path}:{lineno}: variable {name} listed twice")
                 col = BY_NAME[name].column_index
                 try:
                     avg[col] = float(avg_s)

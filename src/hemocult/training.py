@@ -170,7 +170,7 @@ def train_one(train_tensors: Sequence[SampleTensor], val_tensors: Sequence[Sampl
     best_epoch = 0
     best_params = params.copy()
     drops = 0
-    # a non-finite loss is refused below, so numpy's overflow warnings would only repeat it
+    # a non-finite loss or weight is refused below; numpy's overflow warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, hyper.max_epochs + 1):
             order = rng.permutation(X.shape[0])
@@ -184,8 +184,10 @@ def train_one(train_tensors: Sequence[SampleTensor], val_tensors: Sequence[Sampl
                 if not np.isfinite(batch_loss):
                     raise TrainingDivergence(epoch, batch_loss)
                 step = hyper.learning_rate / idx.size
-                for (_, arr), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
+                for (name, arr), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
                     arr -= step * g
+                    if not np.isfinite(arr).all():
+                        raise TrainingDivergence(epoch, batch_loss, block=name)
             if val_metric is not None:
                 metric = float(val_metric(params, epoch))
             else:
@@ -215,8 +217,8 @@ def _train_fold(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
     try:
         return train_one(train, val, replace(hyper, seed=hyper.seed + fold))
     except TrainingDivergence as exc:
-        raise TrainingDivergence(exc.epoch, exc.loss,
-                                 (hyper.hidden_size, hyper.learning_rate), fold) from None
+        raise TrainingDivergence(exc.epoch, exc.loss, (hyper.hidden_size, hyper.learning_rate),
+                                 fold, exc.block) from None
 
 
 def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
@@ -234,12 +236,13 @@ def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
 @dataclass
 class GridResult:
     best: HyperParams
+    cv_mean: float  # the winner's mean best-epoch val PR AUC over folds
     rows: List[Tuple[int, float, int, int, float]]  # (hidden, lr, fold, best_epoch, val PR AUC)
     results: List[TrainResult]  # the winning cell's folds, in fold order
 
 
-def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperParams,
-                grid: Sequence[Tuple[int, float]], jobs: int = 1) -> GridResult:
+def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, cells: Sequence[HyperParams],
+                jobs: int = 1) -> GridResult:
     """Average best-epoch val PR AUC over folds per cell; argmax wins.
 
     Ties prefer the smaller hidden size, then the smaller learning rate;
@@ -247,23 +250,20 @@ def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, base: HyperPara
     kept while the search runs, so a losing cell's models are freed before
     the next cell trains.
     """
-    if not grid:
+    if not cells:
         raise ConfigError("empty hyperparameter grid")
     rows = []
-    best_key = best_results = None
-    for hidden, lr in grid:
-        cell_hyper = replace(base, hidden_size=hidden, learning_rate=lr)
-        results = train_folds(tensors, plan, cell_hyper, jobs=jobs)
-        rows.extend((hidden, lr, fold, r.best_epoch, r.best_val)
+    best_key = best = best_results = None
+    for cell in cells:
+        results = train_folds(tensors, plan, cell, jobs=jobs)
+        rows.extend((cell.hidden_size, cell.learning_rate, fold, r.best_epoch, r.best_val)
                     for fold, r in enumerate(results))
         mean = float(np.mean([r.best_val for r in results]))
-        key = (-mean, hidden, lr)
+        key = (-mean, cell.hidden_size, cell.learning_rate)
         if best_key is None or key < best_key:
-            best_key, best_results = key, results
+            best_key, best, best_results = key, cell, results
         del results  # a loser's models must not stay alive while the next cell trains
-    _, best_hidden, best_lr = best_key
-    best = replace(base, hidden_size=best_hidden, learning_rate=best_lr)
-    return GridResult(best=best, rows=rows, results=best_results)
+    return GridResult(best=best, cv_mean=-best_key[0], rows=rows, results=best_results)
 
 
 def ensemble_scores(members: Sequence[lstm.ModelParams], tensors: Sequence[SampleTensor],

@@ -219,7 +219,7 @@ def test_train_custom_grid(workspace, tmp_path, monkeypatch):
 def test_default_grid_is_three_by_three():
     cells = _grid_cells_from(Namespace(grid=True, grid_hidden=None, grid_lr=None),
                              HyperParams())
-    assert cells == list(product(GRID_HIDDEN, GRID_LR))
+    assert [(c.hidden_size, c.learning_rate) for c in cells] == list(product(GRID_HIDDEN, GRID_LR))
     assert len(cells) == 9
 
 
@@ -254,6 +254,18 @@ def test_train_divergence_exits_5(workspace, tmp_path):
                        "--max-epochs", 1)
     assert code == 5
     assert "training diverged" in err and "fold 0" in err
+
+
+def test_train_weight_overflow_exits_5(workspace, tmp_path):
+    # the batch loss stays finite; the update that follows overflows the weights
+    code, _, err = run("train", "--tensors", workspace["root"] / "prep", "--run-dir", tmp_path,
+                       "--lr", "1e10", "--w-pos", "1e300", "--batch-size", 8, "--folds", 2,
+                       "--max-epochs", 3)
+    assert code == 5, err
+    assert re.fullmatch(r"error: training diverged: an update left a non-finite weight in block "
+                        r"'\w+' \(batch loss [0-9.e+]+\) at epoch 1 "
+                        r"\(cell hidden=10 lr=10000000000\.0, fold 0\)\n", err), err
+    assert not list(tmp_path.iterdir())
 
 
 def test_divergence_stderr_is_one_line(workspace, tmp_path):
@@ -411,6 +423,17 @@ def test_evaluate_missing_split_entry_exits_3(workspace, tmp_path):
     code, _, err = run("evaluate", "--tensors", prep_copy, "--run-dir", root / "run")
     aid = lines[1].split("\t")[0]
     assert code == 3 and f"admission id {aid} listed twice" in err
+    # tensors.bin loses its last 3 records, cut at a record boundary
+    (prep_copy / "split.tsv").write_text("\n".join(lines) + "\n")
+    lost = read_tensors(root / "prep" / "tensors.bin")[-3:]
+    cut = sum(4 + len(t.admission_id.encode()) + 1 + t.values.nbytes for t in lost)
+    (prep_copy / "tensors.bin").write_bytes((root / "prep" / "tensors.bin").read_bytes()[:-cut])
+    assert len(read_tensors(prep_copy / "tensors.bin")) == len(lines) - 4
+    first = min(t.admission_id for t in lost)
+    for argv in (["evaluate", "--run-dir", root / "run"], ["train", "--run-dir", tmp_path / "run"]):
+        code, _, err = run(*argv, "--tensors", prep_copy)
+        assert code == 3 and f"{first} missing from tensor cache" in err, (argv, err)
+    assert not (tmp_path / "run").exists()
 
 
 def _drop_folds_1_and_2(run_dir):
@@ -632,6 +655,8 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
     preprocess = ["preprocess", "--cohort", workspace["root"] / "cohort.bin",
                   "--out-dir", tmp_path / "z"]
     train = ["train", "--tensors", workspace["root"] / "prep", "--run-dir", tmp_path / "z"]
+    evaluate = ["evaluate", "--tensors", workspace["root"] / "prep",
+                "--run-dir", workspace["root"] / "run", "--out-dir", tmp_path / "z"]
     for argv, message in ((generate + ["--horizon", "1.2.3:4"], "horizon"),
                           (generate + ["--signal-strength", "nan"], "signal_strength"),
                           (pipeline + ["--signal-strength", "inf"], "signal_strength"),
@@ -642,7 +667,10 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
                           (pipeline + ["--folds", "1"], "folds"),
                           (train + ["--folds", "1"], "folds"),
                           (pipeline + TINY_TRAIN + ["--jobs", "0"], "jobs"),
-                          (train + TINY_TRAIN + ["--jobs", "-1"], "jobs")):
+                          (train + TINY_TRAIN + ["--jobs", "-1"], "jobs"),
+                          (train + ["--seed", "-1"], "seed"),
+                          (preprocess + ["--seed", "-2000000"], "seed"),
+                          (evaluate + ["--seed", "-2000004"], "seed")):
         code, _, err = run(*argv)
         assert code == 2 and message in err, (argv, err)
         assert not (tmp_path / "z").exists() and not (tmp_path / "z.bin").exists(), argv

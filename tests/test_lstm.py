@@ -249,11 +249,11 @@ def test_init_params_layout():
 def test_model_params_validation():
     p = zero_model(2)
     bad = ModelParams(p.fwd, p.bwd, np.zeros(3), p.head_b)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="block 'head_w' has shape"):
         bad.validate()
     nan = zero_model(2)
-    nan.fwd.W[0, 0] = np.nan
-    with pytest.raises(ShapeError):
+    nan.bwd.U[0, 0] = np.nan
+    with pytest.raises(ShapeError, match="block 'bwd_U' has a non-finite value"):
         nan.validate()
 
 
@@ -296,7 +296,7 @@ def test_checkpoint_corruption_detected(tmp_path):
     magic_len = blob.index(b"\n") + 1
     lied = tmp_path / "lied.ckpt"
     lied.write_bytes(blob[:magic_len] + struct.pack("<I", 3) + blob[magic_len + 4:])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="block 'fwd_W' has shape"):
         load_params(lied)
 
     name_at = blob.index(b"fwd_U")

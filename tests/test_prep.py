@@ -295,6 +295,12 @@ def test_stats_file_validation(tmp_path):
     partial.write_text("variable\tavg\tstd\ncrp\t1.0\t1.0\n")
     with pytest.raises(FormatError):
         read_stats(partial)
+    twice = tmp_path / "d.tsv"
+    write_stats(NormStats(avg=np.zeros(N_VARIABLES), std=np.ones(N_VARIABLES)), twice)
+    with open(twice, "a", encoding="utf-8") as fh:
+        fh.write("temperature\t123.0\t1.0\n")
+    with pytest.raises(FormatError, match="d.tsv:11: variable temperature listed twice"):
+        read_stats(twice)
     for row in ("crp\t1.0", "crp\t1.0\t1.0\t2.0", "crp\tx\t1.0", "crp\t1.0\t"):
         bad_row = tmp_path / "r.tsv"
         bad_row.write_text(f"variable\tavg\tstd\n{row}\n")

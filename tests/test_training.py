@@ -297,12 +297,13 @@ def test_grid_search_single_cell():
     ids = [t.admission_id for t in tensors]
     labels = [t.label for t in tensors]
     plan = make_folds(ids, labels, k=5, seed=2)
-    result = grid_search(tensors, plan, SMALL_HYPER, grid=[(2, 0.05)])
+    result = grid_search(tensors, plan, [SMALL_HYPER])
     assert (result.best.hidden_size, result.best.learning_rate) == (2, 0.05)
     assert len(result.rows) == 5 and {row[:2] for row in result.rows} == {(2, 0.05)}
     direct = train_folds(tensors, plan, SMALL_HYPER)
     assert [row[4] for row in result.rows] == [r.best_val for r in direct]
     assert [row[3] for row in result.rows] == [r.best_epoch for r in direct]
+    assert result.cv_mean == float(np.mean([r.best_val for r in direct]))
     assert len(result.results) == 5
     for kept, fresh in zip(result.results, direct):
         assert kept.history == fresh.history and kept.best_epoch == fresh.best_epoch
@@ -322,7 +323,7 @@ def test_grid_search_prefers_learning_cell(monkeypatch):
         return train_folds(*args, **kwargs)
 
     monkeypatch.setattr(training, "train_folds", counted)
-    result = grid_search(tensors, plan, base, grid=[(2, 0.05), (2, 1e-12)])
+    result = grid_search(tensors, plan, [replace(base, learning_rate=lr) for lr in (0.05, 1e-12)])
     assert [h.learning_rate for h in calls] == [0.05, 1e-12]  # each cell trains once
     assert result.best.learning_rate == 0.05
     means = {cell: np.mean([row[4] for row in result.rows if row[:2] == cell])
@@ -341,14 +342,15 @@ def test_grid_search_tie_prefers_small_then_slow(monkeypatch):
 
     monkeypatch.setattr(training, "train_folds", fake_train_folds)
     plan = FoldPlan(folds=[["a"], ["b"]])
-    result = grid_search([], plan, SMALL_HYPER, grid=[(5, 0.01), (2, 0.1), (2, 0.01)])
+    result = grid_search([], plan, [replace(SMALL_HYPER, hidden_size=h, learning_rate=lr)
+                                  for h, lr in [(5, 0.01), (2, 0.1), (2, 0.01)]])
     assert (result.best.hidden_size, result.best.learning_rate) == (2, 0.01)
     assert [r.params.hidden_size for r in result.results] == [2, 2]
 
 
 def test_grid_search_rejects_empty_grid():
     with pytest.raises(ConfigError):
-        grid_search([], FoldPlan(folds=[["a"], ["b"]]), SMALL_HYPER, grid=[])
+        grid_search([], FoldPlan(folds=[["a"], ["b"]]), [])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -359,7 +361,7 @@ def test_grid_search_tags_divergent_cell():
     plan = make_folds(ids, labels, k=2, seed=0)
     base = replace(SMALL_HYPER, w_pos=float("inf"))
     with pytest.raises(TrainingDivergence) as info:
-        grid_search(tensors, plan, base, grid=[(2, 0.05)])
+        grid_search(tensors, plan, [base])
     assert info.value.cell == (2, 0.05)
     assert info.value.fold == 0
 
@@ -370,9 +372,9 @@ def test_grid_search_one_member_per_fold():
     labels = [t.label for t in tensors]
     plan = make_folds(ids, labels, k=10, seed=0)
     hyper = replace(SMALL_HYPER, max_epochs=2)
-    members = [r.params for r in grid_search(tensors, plan, hyper, grid=[(2, 0.05)]).results]
+    members = [r.params for r in grid_search(tensors, plan, [hyper]).results]
     assert len(members) == 10
-    again = [r.params for r in grid_search(tensors, plan, hyper, grid=[(2, 0.05)]).results]
+    again = [r.params for r in grid_search(tensors, plan, [hyper]).results]
     assert all(params_equal(a, b) for a, b in zip(members, again))
     assert not params_equal(members[0], members[1])
 
