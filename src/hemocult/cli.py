@@ -1,9 +1,8 @@
 """Command-line entry point: generate, preprocess, train, evaluate, pipeline.
 
 stdout carries one machine-readable key=value summary line per command;
-diagnostics go to stderr. Exit codes: 0 success, 2 configuration or data
-precondition errors, 3 file format or I/O errors, 4 split/fold errors,
-5 training divergence, 6 checkpoint or tensor cache errors.
+diagnostics go to stderr. Exit code 0 is success; errors.py declares one
+class for each error exit code, 2 to 6.
 
 Seed derivation from the master seed: cohort generation uses the seed
 itself, the train/test split uses seed + 1000003, fold assignment uses
@@ -23,8 +22,7 @@ import numpy as np
 from . import __version__
 from .cohort import (CohortConfig, cohort_summary, generate_cohort,
                      read_cohort, write_cohort)
-from .errors import (CheckpointError, ConfigError, ContractViolationError,
-                     FormatError, HemocultError)
+from .errors import ConfigError, FormatError, HemocultError, IntegrityError
 from .lstm import load_params, save_params
 from .metrics import (baseline_constant, baseline_proportional, export_curve,
                       export_curve_svg, pr_curve)
@@ -60,10 +58,12 @@ def _parse_horizon(text: str):
 
 def _parse_list(text: str, kind, flag: str):
     try:
-        return tuple(kind(tok) for tok in text.split(",") if tok)
+        values = tuple(kind(tok) for tok in text.split(",") if tok)
+        if values:
+            return values
     except ValueError:
-        raise ConfigError(f"{flag} must be a comma list of {kind.__name__} values, "
-                          f"got {text!r}") from None
+        pass
+    raise ConfigError(f"{flag} must be a comma list of {kind.__name__} values, got {text!r}")
 
 
 def write_split(path, ids, partitions):
@@ -104,12 +104,11 @@ def _prep_digests(prep_dir: Path):
     return {f"prep_sha256.{name}": _sha256(prep_dir / name) for name in PREP_FILES}
 
 
-def _write_manifest(run_dir: Path):
-    entries = sorted(p for p in run_dir.iterdir()
-                     if p.is_file() and p.name != "manifest.txt")
+def _write_manifest(run_dir: Path, names):
+    """The sha256 of each named run file, in name order; other files in run_dir go unlisted."""
     with open(run_dir / "manifest.txt", "w", encoding="utf-8") as fh:
-        for path in entries:
-            fh.write(f"{_sha256(path)}  {path.name}\n")
+        for name in sorted(names):
+            fh.write(f"{_sha256(run_dir / name)}  {name}\n")
 
 
 def _configured(cls, args):
@@ -219,9 +218,10 @@ def _train(prep_dir: Path, run_dir: Path, args, cells) -> str:
         stale.unlink()
     _write_run_config(run_dir, prep_dir, args, cells, best)
     _write_cv_table(run_dir, result.rows)
-    for fold, r in enumerate(result.results):
-        save_params(r.params, run_dir / f"ensemble_fold{fold}.ckpt")
-    _write_manifest(run_dir)
+    checkpoints = [f"ensemble_fold{fold}.ckpt" for fold in range(len(result.results))]
+    for name, r in zip(checkpoints, result.results):
+        save_params(r.params, run_dir / name)
+    _write_manifest(run_dir, ["config.txt", "cv_table.csv", *checkpoints])
     return (f"hidden={best.hidden_size} lr={best.learning_rate!r} "
             f"cv_pr_auc={result.cv_mean!r} folds={args.folds}")
 
@@ -245,7 +245,7 @@ def _read_run_config(run_dir: Path):
 
 def _check_listed(run_dir: Path, listed, name):
     if listed.get(name) != _sha256(run_dir / name):
-        raise CheckpointError(f"{run_dir}: {name} does not match manifest.txt")
+        raise IntegrityError(f"{run_dir}: {name} does not match manifest.txt")
 
 
 def _load_ensemble(run_dir: Path, prep_dir: Path):
@@ -256,29 +256,29 @@ def _load_ensemble(run_dir: Path, prep_dir: Path):
     """
     found = {p.name for p in run_dir.glob("ensemble_fold*.ckpt")}
     if not found:
-        raise CheckpointError(f"{run_dir}: no ensemble checkpoints found")
+        raise IntegrityError(f"{run_dir}: no ensemble checkpoints found")
     try:
         listed = _read_manifest(run_dir)
         _check_listed(run_dir, listed, "config.txt")
         config = _read_run_config(run_dir)
     except FileNotFoundError as exc:
-        raise CheckpointError(f"{run_dir}: {Path(exc.filename).name} is missing") from None
+        raise IntegrityError(f"{run_dir}: {Path(exc.filename).name} is missing") from None
     if not config.get("folds", "").isdecimal():
-        raise CheckpointError(f"{run_dir}/config.txt: no folds= entry")
+        raise IntegrityError(f"{run_dir}/config.txt: no folds= entry")
     k = int(config["folds"])
     # k comes from a file, so no name list is built before the count agrees
     names = [f"ensemble_fold{fold}.ckpt" for fold in range(k)] if len(found) == k else []
     if found != set(names):
-        raise CheckpointError(
+        raise IntegrityError(
             f"{run_dir}: checkpoints {sorted(found)} do not match folds=0..{k - 1} in config.txt")
     for name in names:
         _check_listed(run_dir, listed, name)
     members = [load_params(run_dir / name) for name in names]
     if len({m.hidden_size for m in members}) != 1:
-        raise CheckpointError(f"{run_dir}: ensemble members disagree on hidden size")
+        raise IntegrityError(f"{run_dir}: ensemble members disagree on hidden size")
     for key, digest in _prep_digests(prep_dir).items():
         if config.get(key) != digest:
-            raise ContractViolationError(
+            raise IntegrityError(
                 f"{prep_dir / key.partition('.')[2]} is not the file {run_dir} was trained on "
                 f"(sha256 differs from {key} in config.txt)")
     return members
@@ -330,12 +330,12 @@ def cmd_preprocess(args) -> int:
 def _grid_cells_from(args, hyper: HyperParams):
     """The cells to train: hyper with each --grid (hidden, lr) pair, else hyper alone."""
     if not args.grid:
-        if args.grid_hidden or args.grid_lr:
+        if args.grid_hidden is not None or args.grid_lr is not None:
             raise ConfigError("--grid-hidden/--grid-lr require --grid")
         return [hyper]
-    hiddens = (_parse_list(args.grid_hidden, int, "--grid-hidden") if args.grid_hidden
-               else GRID_HIDDEN)
-    rates = _parse_list(args.grid_lr, float, "--grid-lr") if args.grid_lr else GRID_LR
+    hiddens = (GRID_HIDDEN if args.grid_hidden is None
+               else _parse_list(args.grid_hidden, int, "--grid-hidden"))
+    rates = GRID_LR if args.grid_lr is None else _parse_list(args.grid_lr, float, "--grid-lr")
     cells = [replace(hyper, hidden_size=h, learning_rate=lr) for h in hiddens for lr in rates]
     for cell in cells:
         cell.validate()

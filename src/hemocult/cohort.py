@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .blocks import F64, I64, U32, U64, BlockReader
-from .errors import ConfigError, FormatError, SchemaError
+from .errors import ConfigError, FormatError
 from .variables import BY_NAME, VARIABLE_NAMES
 
 COHORT_MAGIC = b"#hemocult-cohort v2\n"
@@ -214,7 +214,7 @@ def write_cohort(cohort: List[PatientSeries], path):
                 ts, vals = np.asarray(ts), np.asarray(vals)
                 if ts.dtype.kind not in "iu" or ts.ndim != 1 or ts.shape != vals.shape:
                     # the file stores one count for both arrays and integer seconds
-                    raise SchemaError(f"{series.admission_id}/{name}: want 1-d integer "
+                    raise ConfigError(f"{series.admission_id}/{name}: want 1-d integer "
                                       f"timestamps and as many values")
                 fh.write(U64.pack(ts.size))
                 fh.write(np.ascontiguousarray(ts, dtype=I64))

@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, each with its CLI exit code."""
+"""Exception types shared across the pipeline: one class per CLI exit code."""
 
 
 class HemocultError(Exception):
@@ -6,58 +6,25 @@ class HemocultError(Exception):
 
 
 class ConfigError(HemocultError):
-    """Invalid configuration values (counts, rates, ranges, CLI flags)."""
-    exit_code = 2
-
-
-class SchemaError(HemocultError):
-    """A series refers to an unknown variable or breaks a structural invariant."""
+    """Exit 2: a configuration value or CLI flag is invalid, or the data cannot meet a
+    precondition (unknown variable, nothing to fit or anchor, no positive label)."""
     exit_code = 2
 
 
 class FormatError(HemocultError):
-    """A cohort file or a text artifact is malformed or has the wrong header."""
+    """Exit 3: a cohort file or a text artifact is malformed or has the wrong header (an OSError
+    from reading or writing a file exits 3 too)."""
     exit_code = 3
 
 
-class TensorCacheError(HemocultError):
-    """A binary tensor cache file is malformed or truncated."""
-    exit_code = 6
-
-
-class CheckpointError(HemocultError):
-    """A model checkpoint file is malformed, truncated, or inconsistent."""
-    exit_code = 6
-
-
-class ShapeError(HemocultError):
-    """Array dimensions do not match the declared model or tensor layout."""
-    exit_code = 6
-
-
-class FitError(HemocultError):
-    """Normalization statistics cannot be fitted (a variable has no values)."""
-    exit_code = 2
-
-
-class EmptySeriesError(HemocultError):
-    """A series has no measurements where at least one is required."""
-    exit_code = 2
-
-
-class StratificationError(HemocultError):
-    """A stratified split is impossible (empty class or infeasible counts)."""
-    exit_code = 4
-
-
-class FoldError(HemocultError):
-    """A cross-validation fold plan is impossible (class smaller than k)."""
+class SplitError(HemocultError):
+    """Exit 4: a stratified split or a cross-validation fold plan is impossible."""
     exit_code = 4
 
 
 class TrainingDivergence(HemocultError):
-    """Training produced a non-finite loss, or an update left a non-finite weight in `block`;
-    names the epoch, and the cell and fold if known."""
+    """Exit 5: training produced a non-finite loss, or an update left a non-finite weight in
+    `block`; names the epoch, and the cell and fold if known."""
     exit_code = 5
 
     def __init__(self, epoch: int, loss: float, cell=None, fold=None, block=None):
@@ -78,11 +45,7 @@ class TrainingDivergence(HemocultError):
         return f"training diverged: {what} at epoch {self.epoch}{suffix}"
 
 
-class ContractViolationError(HemocultError):
-    """An API was called with state it cannot have produced (stale cache, empty ensemble)."""
+class IntegrityError(HemocultError):
+    """Exit 6: a tensor cache or checkpoint is malformed, truncated or inconsistent, an
+    array does not have its declared shape, or artifacts do not belong together."""
     exit_code = 6
-
-
-class UndefinedRecallError(HemocultError):
-    """Precision-recall evaluation was requested with zero positive labels."""
-    exit_code = 2

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from .blocks import F64, U32, BlockReader
-from .errors import CheckpointError, ContractViolationError, ShapeError
+from .errors import IntegrityError
 
 N_INPUTS = 9
 
@@ -88,12 +88,13 @@ class ModelParams:
         """Every block has its _layout shape for the hidden size of fwd_U, and finite values."""
         H = self.fwd.U.shape[-1] if self.fwd.U.ndim == 2 else 0
         if H < 1:
-            raise ShapeError(f"block 'fwd_U' has shape {self.fwd.U.shape}, so no hidden size >= 1")
+            raise IntegrityError(
+                f"block 'fwd_U' has shape {self.fwd.U.shape}, so no hidden size >= 1")
         for (name, arr), (_, shape) in zip(self.named_arrays(), _layout(H)):
             if arr.shape != shape:
-                raise ShapeError(f"block {name!r} has shape {arr.shape}, want {shape}")
+                raise IntegrityError(f"block {name!r} has shape {arr.shape}, want {shape}")
             if not np.isfinite(arr).all():
-                raise ShapeError(f"block {name!r} has a non-finite value")
+                raise IntegrityError(f"block {name!r} has a non-finite value")
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.fwd.copy(), self.bwd.copy(), self.head_w.copy(), self.head_b.copy())
@@ -108,7 +109,7 @@ class ModelParams:
 def init_params(hidden_size: int, seed) -> ModelParams:
     """Uniform [-1/sqrt(H), 1/sqrt(H)] weights, zero biases, forget bias +1."""
     if hidden_size < 1:
-        raise ShapeError(f"hidden_size must be >= 1, got {hidden_size}")
+        raise IntegrityError(f"hidden_size must be >= 1, got {hidden_size}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     H = hidden_size
     scale = 1.0 / np.sqrt(H)
@@ -196,7 +197,7 @@ def forward_batch(X: np.ndarray, p: ModelParams):
     p.validate()
     X = np.asarray(X, dtype=float)
     if X.ndim != 3 or X.shape[2] != p.fwd.W.shape[1]:
-        raise ShapeError(f"batch has shape {X.shape}, want (B, T, {p.fwd.W.shape[1]})")
+        raise IntegrityError(f"batch has shape {X.shape}, want (B, T, {p.fwd.W.shape[1]})")
     H = p.hidden_size
     Xr = np.ascontiguousarray(X[:, ::-1, :])
     cf = _run_direction(X, p.fwd)
@@ -218,10 +219,10 @@ def backward_batch(X: np.ndarray, labels: np.ndarray, p: ModelParams,
     (loss, grads); grads is a ModelParams of d loss / d parameter.
     """
     if cache.get("X") is not X or cache.get("params") is not p:
-        raise ContractViolationError("cache does not belong to these inputs")
+        raise IntegrityError("cache does not belong to these inputs")
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (X.shape[0],):
-        raise ShapeError(f"labels have shape {labels.shape}, want ({X.shape[0]},)")
+        raise IntegrityError(f"labels have shape {labels.shape}, want ({X.shape[0]},)")
     s = cache["scores"]
     w = np.where(labels == 1.0, float(w_pos), float(w_neg))
     r = s - labels
@@ -248,9 +249,9 @@ def weighted_mse(scores, labels, w_pos: float, w_neg: float) -> float:
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.ndim != 1:
-        raise ShapeError(f"scores {scores.shape} vs labels {labels.shape}")
+        raise IntegrityError(f"scores {scores.shape} vs labels {labels.shape}")
     if not (w_pos > 0 and w_neg > 0):
-        raise ShapeError("class weights must be positive")
+        raise IntegrityError("class weights must be positive")
     w = np.where(labels == 1.0, float(w_pos), float(w_neg))
     r = scores - labels
     return math.fsum(w * r * r)
@@ -269,12 +270,14 @@ def save_params(p: ModelParams, path):
 
 
 def load_params(path) -> ModelParams:
-    """Inverse of save_params; a malformed or inconsistent file raises CheckpointError."""
+    """Inverse of save_params; a malformed or inconsistent file raises IntegrityError."""
     arrays = []
     with open(path, "rb") as fh:
-        reader = BlockReader(fh, path, CheckpointError)
+        reader = BlockReader(fh, path, IntegrityError)
         reader.magic(CHECKPOINT_MAGIC, "checkpoint magic")
         hidden, nblocks = reader.unpack(_HEADER, "checkpoint header")
+        if hidden < 1:  # _layout(0) would accept eight empty blocks
+            raise reader.error(f"hidden size {hidden} in the header, want >= 1")
         if nblocks != len(_BLOCK_NAMES):
             raise reader.error(f"expected {len(_BLOCK_NAMES)} blocks, found {nblocks}")
         for expected, want in _layout(hidden):
@@ -289,11 +292,9 @@ def load_params(path) -> ModelParams:
             if shape != want:
                 raise reader.error(f"block {expected!r} has shape {shape}, "
                                    f"want {want} for hidden={hidden}")
-            arrays.append(reader.array(math.prod(shape), F64, f"block {expected}").reshape(shape))
+            values = reader.array(math.prod(shape), F64, f"block {expected}")
+            if not np.isfinite(values).all():
+                raise reader.error(f"block {expected!r} has a non-finite value")
+            arrays.append(values.reshape(shape))
         reader.finish("the last block")
-    p = ModelParams(CellParams(*arrays[:3]), CellParams(*arrays[3:6]), *arrays[6:])
-    try:
-        p.validate()
-    except ShapeError as exc:
-        raise CheckpointError(f"{path}: inconsistent checkpoint: {exc}") from exc
-    return p
+    return ModelParams(CellParams(*arrays[:3]), CellParams(*arrays[3:6]), *arrays[6:])

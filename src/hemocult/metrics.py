@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, UndefinedRecallError
+from .errors import ConfigError, FormatError, IntegrityError
 
 
 @dataclass
@@ -26,16 +26,16 @@ def _check_inputs(scores, labels):
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
-        raise ShapeError(f"scores {scores.shape} vs labels {labels.shape}")
+        raise IntegrityError(f"scores {scores.shape} vs labels {labels.shape}")
     if scores.size == 0:
-        raise ShapeError("empty score vector")
+        raise IntegrityError("empty score vector")
     if not np.all(np.isfinite(scores)):
-        raise ShapeError("non-finite score")
+        raise IntegrityError("non-finite score")
     labels = labels.astype(int)
     if not np.all((labels == 0) | (labels == 1)):
-        raise ShapeError("labels must be 0 or 1")
+        raise IntegrityError("labels must be 0 or 1")
     if int(labels.sum()) == 0:
-        raise UndefinedRecallError("recall is undefined without positive labels")
+        raise ConfigError("recall is undefined without positive labels")
     return scores, labels
 
 
@@ -70,7 +70,7 @@ def baseline_proportional(labels, seed) -> float:
     """Scores drawn 1 with probability prevalence, else 0 (seeded)."""
     labels = np.asarray(labels).astype(int)
     if labels.size == 0 or int(labels.sum()) == 0:
-        raise UndefinedRecallError("recall is undefined without positive labels")
+        raise ConfigError("recall is undefined without positive labels")
     prevalence = labels.sum() / labels.size
     rng = np.random.default_rng(seed)
     scores = (rng.random(labels.size) < prevalence).astype(float)

@@ -27,8 +27,7 @@ import numpy as np
 
 from .blocks import F64, U32, BlockReader
 from .cohort import PatientSeries
-from .errors import (EmptySeriesError, FitError, FormatError, SchemaError,
-                     ShapeError, TensorCacheError)
+from .errors import ConfigError, FormatError, IntegrityError
 from .variables import (BIN_SECONDS, BY_NAME, N_BINS, N_VARIABLES,
                         VARIABLES, VariableSpec, WINDOW_SECONDS)
 
@@ -58,11 +57,12 @@ class SampleTensor:
 
     def validate(self):
         if self.values.shape != (N_BINS, N_VARIABLES):
-            raise ShapeError(f"tensor shape {self.values.shape}, want ({N_BINS}, {N_VARIABLES})")
+            raise IntegrityError(
+                f"tensor shape {self.values.shape}, want ({N_BINS}, {N_VARIABLES})")
         if not np.all(np.isfinite(self.values)):
-            raise ShapeError("non-finite tensor entry")
+            raise IntegrityError("non-finite tensor entry")
         if self.label not in (0, 1):
-            raise ShapeError(f"label must be 0 or 1, got {self.label}")
+            raise IntegrityError(f"label must be 0 or 1, got {self.label}")
 
 
 def filter_outliers(series: PatientSeries) -> Tuple[PatientSeries, int]:
@@ -71,7 +71,7 @@ def filter_outliers(series: PatientSeries) -> Tuple[PatientSeries, int]:
     removed = 0
     for name, (ts, vals) in series.channels.items():
         if name not in BY_NAME:
-            raise SchemaError(f"unknown variable {name!r} in {series.admission_id}")
+            raise ConfigError(f"unknown variable {name!r} in {series.admission_id}")
         limits = BY_NAME[name].bio_limits
         if limits is None:
             channels[name] = (ts, vals)
@@ -93,7 +93,7 @@ def fit_normalizer(training_series: List[PatientSeries]) -> NormStats:
         pieces = [series.channels[spec.name][1]
                   for series in training_series if spec.name in series.channels]
         if sum(arr.size for arr in pieces) == 0:
-            raise FitError(f"no values to fit for variable {spec.name!r}")
+            raise ConfigError(f"no values to fit for variable {spec.name!r}")
         values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         avg[spec.column_index] = values.mean()
         std[spec.column_index] = values.std()
@@ -112,11 +112,11 @@ def select_end_time(series: PatientSeries) -> int:
     """Positives end at the first positive culture; negatives at the last value."""
     if series.label == 1:
         if series.first_positive_time is None:
-            raise SchemaError(f"{series.admission_id}: positive admission lacks a culture time")
+            raise ConfigError(f"{series.admission_id}: positive admission lacks a culture time")
         return int(series.first_positive_time)
     last = series.last_timestamp()
     if last is None:
-        raise EmptySeriesError(f"{series.admission_id}: no measurements to anchor the window")
+        raise ConfigError(f"{series.admission_id}: no measurements to anchor the window")
     return last
 
 
@@ -223,10 +223,10 @@ def write_tensors(tensors: List[SampleTensor], path):
 
 
 def read_tensors(path) -> List[SampleTensor]:
-    """Inverse of write_tensors; a malformed file raises TensorCacheError."""
+    """Inverse of write_tensors; a malformed file raises IntegrityError."""
     tensors, ids = [], set()
     with open(path, "rb") as fh:
-        reader = BlockReader(fh, path, TensorCacheError)
+        reader = BlockReader(fh, path, IntegrityError)
         reader.magic(TENSOR_MAGIC, "tensor cache magic")
         while reader.left:
             (id_len,) = reader.unpack(U32, "record header")

@@ -21,8 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lstm
-from .errors import (ConfigError, ContractViolationError, FoldError,
-                     StratificationError, TrainingDivergence)
+from .errors import ConfigError, IntegrityError, SplitError, TrainingDivergence
 from .metrics import pr_auc
 from .prep import SampleTensor
 
@@ -87,21 +86,21 @@ def stratified_split(ids: Sequence[str], labels: Sequence[int],
     if len(ids) != len(labels):
         raise ConfigError("ids and labels differ in length")
     if not ids:
-        raise StratificationError("cannot split an empty cohort")
+        raise SplitError("cannot split an empty cohort")
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     pos = [i for i, y in zip(ids, labels) if y == 1]
     neg = [i for i, y in zip(ids, labels) if y == 0]
     if not pos or not neg:
-        raise StratificationError("stratified split needs both classes present")
+        raise SplitError("stratified split needs both classes present")
     n_test = _round_half_up(test_fraction * len(ids))
     n_test_pos = _round_half_up(test_fraction * len(pos))
     n_test_neg = n_test - n_test_pos
     if n_test_pos == 0:
-        raise StratificationError(f"test fraction {test_fraction} of {len(pos)} positives "
-                                  "puts no positive on the test side")
+        raise SplitError(f"test fraction {test_fraction} of {len(pos)} positives "
+                         "puts no positive on the test side")
     if not (0 <= n_test_pos <= len(pos) and 0 <= n_test_neg <= len(neg)):
-        raise StratificationError(
+        raise SplitError(
             f"infeasible split: {n_test_pos} positives / {n_test_neg} negatives requested")
     rng = np.random.default_rng(seed)
     pos_pick = set(np.array(pos, dtype=object)[rng.permutation(len(pos))[:n_test_pos]])
@@ -122,7 +121,7 @@ def make_folds(ids: Sequence[str], labels: Sequence[int], k: int = 10, seed: int
     neg = [i for i, y in zip(ids, labels) if y == 0]
     for name, cls in (("positive", pos), ("negative", neg)):
         if len(cls) < k:
-            raise FoldError(f"{name} class has {len(cls)} members, fewer than k={k}")
+            raise SplitError(f"{name} class has {len(cls)} members, fewer than k={k}")
     rng = np.random.default_rng(seed)
     folds: List[List[str]] = [[] for _ in range(k)]
     pointer = 0
@@ -225,11 +224,12 @@ def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
                 jobs: int = 1) -> List[TrainResult]:
     """One model per fold, fold f validating on partition f with seed+f.
 
-    With jobs > 1 the folds train in that many worker processes; results
+    With jobs > 1 the folds train in min(jobs, k) worker processes; results
     come back in fold order either way.
     """
     task = partial(_train_fold, tensors, plan, hyper)
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, plan.k)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         return list((pool.map if pool else map)(task, range(plan.k)))
 
 
@@ -270,7 +270,7 @@ def ensemble_scores(members: Sequence[lstm.ModelParams], tensors: Sequence[Sampl
                     chunk: int = 256) -> np.ndarray:
     """Arithmetic mean of member scores, members in fixed fold order."""
     if not members:
-        raise ContractViolationError("ensemble has no members")
+        raise IntegrityError("ensemble has no members")
     X = np.stack([t.values for t in tensors])
     stacked = np.stack([_score_matrix(m, X, chunk) for m in members])
     return stacked.mean(axis=0)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import run_inprocess
 from hemocult.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
-from hemocult.errors import CheckpointError, FormatError, TensorCacheError
+from hemocult.errors import FormatError, IntegrityError
 from hemocult.lstm import init_params, load_params, save_params
 from hemocult.prep import SampleTensor, read_tensors, write_tensors
 
@@ -41,8 +41,8 @@ def _checkpoint(path):
 
 READERS = {
     "cohort": (_cohort, read_cohort, FormatError),
-    "tensors": (_tensors, read_tensors, TensorCacheError),
-    "checkpoint": (_checkpoint, load_params, CheckpointError),
+    "tensors": (_tensors, read_tensors, IntegrityError),
+    "checkpoint": (_checkpoint, load_params, IntegrityError),
 }
 
 

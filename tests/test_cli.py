@@ -223,6 +223,19 @@ def test_default_grid_is_three_by_three():
     assert len(cells) == 9
 
 
+def test_retrain_manifest_lists_only_what_train_wrote(workspace, tmp_path):
+    prep, run_dir = workspace["root"] / "prep", tmp_path / "run"
+    train = ["train", "--tensors", prep, "--run-dir", run_dir, "--seed", 5, "--max-epochs", 1]
+    assert run(*train, "--folds", 3, "--hidden", 3)[0] == 0
+    assert run("evaluate", "--tensors", prep, "--run-dir", run_dir, "--seed", 5)[0] == 0
+    assert run(*train, "--folds", 2, "--hidden", 4)[0] == 0
+    listed = [line.split("  ")[1] for line in (run_dir / "manifest.txt").read_text().splitlines()]
+    assert listed == ["config.txt", "cv_table.csv", "ensemble_fold0.ckpt", "ensemble_fold1.ckpt"]
+    # the earlier evaluate's files stay in the run dir, unlisted
+    assert {"report.txt", "pr_curve.csv", "pr_curve.svg"} <= {p.name for p in run_dir.iterdir()}
+    assert run("evaluate", "--tensors", prep, "--run-dir", run_dir, "--seed", 5)[0] == 0
+
+
 def test_grid_lists_require_grid_flag(workspace, tmp_path):
     for argv in (["train", "--tensors", workspace["root"] / "prep",
                   "--run-dir", tmp_path / "run", "--grid-hidden", "1,2"],
@@ -670,7 +683,9 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
                           (train + TINY_TRAIN + ["--jobs", "-1"], "jobs"),
                           (train + ["--seed", "-1"], "seed"),
                           (preprocess + ["--seed", "-2000000"], "seed"),
-                          (evaluate + ["--seed", "-2000004"], "seed")):
+                          (evaluate + ["--seed", "-2000004"], "seed"),
+                          (pipeline + TINY_TRAIN + ["--grid", "--grid-lr", ","], "--grid-lr"),
+                          (train + TINY_TRAIN + ["--grid", "--grid-hidden", ""], "--grid-hidden")):
         code, _, err = run(*argv)
         assert code == 2 and message in err, (argv, err)
         assert not (tmp_path / "z").exists() and not (tmp_path / "z.bin").exists(), argv

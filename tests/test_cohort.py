@@ -6,7 +6,7 @@ import pytest
 from hemocult.cohort import (COHORT_MAGIC, CohortConfig, PatientSeries,
                              cohort_summary, generate_cohort, read_cohort,
                              write_cohort)
-from hemocult.errors import ConfigError, FormatError, SchemaError
+from hemocult.errors import ConfigError, FormatError
 from hemocult.variables import VARIABLE_NAMES, VARIABLES
 
 
@@ -118,7 +118,7 @@ def test_single_value_writes_single_measurement(tmp_path):
 def test_write_cohort_rejects_misshapen_channels(tmp_path):
     for ts, vals in (([10, 20], [1.0]), ([10.5], [1.0]), ([[10]], [[1.0]])):
         series = PatientSeries("a", 0, None, {"crp": (np.array(ts), np.array(vals))})
-        with pytest.raises(SchemaError, match="a/crp"):
+        with pytest.raises(ConfigError, match="a/crp"):
             write_cohort([series], tmp_path / "bad.bin")
 
 

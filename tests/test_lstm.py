@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import oracles
-from hemocult.errors import (CheckpointError, ContractViolationError,
-                             ShapeError)
-from hemocult.lstm import (CellParams, ModelParams, backward_batch,
+from hemocult.errors import IntegrityError
+from hemocult.lstm import (CellParams, ModelParams, _layout, backward_batch,
                            forward_batch, init_params, load_params,
                            save_params, weighted_mse)
 
@@ -111,9 +110,9 @@ def test_forward_batch_matches_per_example():
 
 def test_forward_batch_shape_error():
     p = zero_model(2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match=r"batch has shape \(3, 72, 8\)"):
         forward_batch(np.zeros((3, 72, 8)), p)
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match=r"batch has shape \(72, 9\)"):
         forward_batch(np.zeros((72, 9)), p)
 
 
@@ -128,11 +127,11 @@ def test_weighted_mse_spot_values():
 
 
 def test_weighted_mse_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match=r"scores \(2,\) vs labels \(1,\)"):
         weighted_mse([0.5, 0.5], [1], 8.0, 1.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match="class weights must be positive"):
         weighted_mse([0.5], [1], 0.0, 1.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match="class weights must be positive"):
         weighted_mse([0.5], [1], 8.0, -2.0)
 
 
@@ -183,7 +182,7 @@ def test_backward_rejects_stale_cache():
     X2 = rng.normal(size=(72, 9))
     B1 = X1[None, :, :]
     _, bcache = forward_batch(B1, p)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(IntegrityError, match="cache does not belong to these inputs"):
         backward_batch(X2[None, :, :], np.array([1.0]), p, 8.0, 1.0, bcache)
 
 
@@ -242,18 +241,18 @@ def test_init_params_layout():
     q = init_params(H, 42)
     for (_, a), (_, b) in zip(p.named_arrays(), q.named_arrays()):
         assert np.array_equal(a, b)
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match="hidden_size must be >= 1, got 0"):
         init_params(0, 1)
 
 
 def test_model_params_validation():
     p = zero_model(2)
     bad = ModelParams(p.fwd, p.bwd, np.zeros(3), p.head_b)
-    with pytest.raises(ShapeError, match="block 'head_w' has shape"):
+    with pytest.raises(IntegrityError, match="block 'head_w' has shape"):
         bad.validate()
     nan = zero_model(2)
     nan.bwd.U[0, 0] = np.nan
-    with pytest.raises(ShapeError, match="block 'bwd_U' has a non-finite value"):
+    with pytest.raises(IntegrityError, match="block 'bwd_U' has a non-finite value"):
         nan.validate()
 
 
@@ -280,33 +279,50 @@ def test_checkpoint_corruption_detected(tmp_path):
 
     bad_magic = tmp_path / "magic.ckpt"
     bad_magic.write_bytes(b"#something else\n" + blob)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(IntegrityError, match="bad checkpoint magic"):
         load_params(bad_magic)
 
     short = tmp_path / "short.ckpt"
     short.write_bytes(blob[:-9])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(IntegrityError, match="truncated shape of block 'head_b'"):
         load_params(short)
 
     trailing = tmp_path / "trailing.ckpt"
     trailing.write_bytes(blob + b"\x00")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(IntegrityError, match="1 trailing bytes after the last block"):
         load_params(trailing)
 
     magic_len = blob.index(b"\n") + 1
     lied = tmp_path / "lied.ckpt"
     lied.write_bytes(blob[:magic_len] + struct.pack("<I", 3) + blob[magic_len + 4:])
-    with pytest.raises(CheckpointError, match="block 'fwd_W' has shape"):
+    with pytest.raises(IntegrityError, match="block 'fwd_W' has shape"):
         load_params(lied)
+    # hidden size 0, with blocks of the shapes it implies: all empty but head_b
+    hollow = tmp_path / "hollow.ckpt"
+    blocks = [struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", len(shape))
+              + struct.pack(f"<{len(shape)}I", *shape) for name, shape in _layout(0)]
+    hollow.write_bytes(blob[:magic_len] + struct.pack("<II", 0, len(blocks)) + b"".join(blocks)
+                       + struct.pack("<d", 0.0))
+    with pytest.raises(IntegrityError, match="hidden size 0 in the header, want >= 1"):
+        load_params(hollow)
 
     name_at = blob.index(b"fwd_U")
     non_utf8 = tmp_path / "name.ckpt"
     non_utf8.write_bytes(blob[:name_at] + b"\xff" + blob[name_at + 1:])
-    with pytest.raises(CheckpointError, match="block"):
+    with pytest.raises(IntegrityError, match="block"):
         load_params(non_utf8)
 
     ndim_at = blob.index(b"fwd_b") + len(b"fwd_b")
     too_many_dims = tmp_path / "ndim.ckpt"
     too_many_dims.write_bytes(blob[:ndim_at] + struct.pack("<I", 70) + blob[ndim_at + 4:])
-    with pytest.raises(CheckpointError, match="dimensions"):
+    with pytest.raises(IntegrityError, match="dimensions"):
         load_params(too_many_dims)
+
+    at = blob.index(p.bwd.U.tobytes())
+    p.bwd.U[3, 1] = np.nan
+    nan_block = p.bwd.U.tobytes()
+    non_finite = tmp_path / "nan.ckpt"
+    non_finite.write_bytes(blob[:at] + nan_block + blob[at + len(nan_block):])
+    with pytest.raises(IntegrityError) as excinfo:
+        load_params(non_finite)
+    assert str(excinfo.value) == f"{non_finite}: block 'bwd_U' has a non-finite value"

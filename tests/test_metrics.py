@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hemocult.errors import FormatError, ShapeError, UndefinedRecallError
+from hemocult.errors import ConfigError, FormatError, IntegrityError
 from hemocult.metrics import (baseline_constant, baseline_proportional, export_curve,
                               export_curve_svg, import_curve, pr_auc, pr_curve)
 
@@ -96,15 +96,15 @@ def test_matches_enumeration_reference():
 
 
 def test_input_validation():
-    with pytest.raises(UndefinedRecallError):
+    with pytest.raises(ConfigError, match="recall is undefined without positive labels"):
         pr_auc([0.2, 0.7], [0, 0])
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match="empty score vector"):
         pr_auc([], [])
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match=r"scores \(2,\) vs labels \(1,\)"):
         pr_auc([0.5, 0.4], [1])
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match="non-finite score"):
         pr_auc([0.5, np.nan], [1, 0])
-    with pytest.raises(ShapeError):
+    with pytest.raises(IntegrityError, match="labels must be 0 or 1"):
         pr_auc([0.5, 0.4], [1, 2])
 
 
@@ -128,7 +128,7 @@ def test_baseline_proportional_edge_cases():
     assert baseline_proportional(np.ones(9, int), seed=5) == 1.0
     labels = np.array([1, 0, 0, 1, 0])
     assert baseline_proportional(labels, 7) == baseline_proportional(labels, 7)
-    with pytest.raises(UndefinedRecallError):
+    with pytest.raises(ConfigError, match="recall is undefined without positive labels"):
         baseline_proportional(np.zeros(4, int), seed=1)
 
 

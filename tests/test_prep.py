@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from hemocult.cli import _preprocess_cohort
 from hemocult.cohort import CohortConfig, PatientSeries, generate_cohort
-from hemocult.errors import (EmptySeriesError, FitError, FormatError,
-                             SchemaError, TensorCacheError)
+from hemocult.errors import ConfigError, FormatError, IntegrityError
 from hemocult.prep import (NormStats, SampleTensor, build_tensor,
                            filter_outliers, fit_normalizer, normalize,
                            read_stats, read_tensors, resample_channel,
@@ -77,7 +76,7 @@ def test_filter_outliers_is_idempotent():
 
 
 def test_filter_outliers_unknown_variable():
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError, match="unknown variable 'lactate' in a1"):
         filter_outliers(series_of({"lactate": ([1], [2.0])}))
 
 
@@ -102,7 +101,7 @@ def test_fit_normalizer_examples():
 
 
 def test_fit_normalizer_requires_values():
-    with pytest.raises(FitError, match="crp"):
+    with pytest.raises(ConfigError, match="no values to fit for variable 'crp'"):
         fit_normalizer([with_crp(([], []))])
 
 
@@ -124,9 +123,9 @@ def test_select_end_time_rules():
     assert select_end_time(neg) == 100_000
     lone = series_of({"crp": ([0], [1.0])})
     assert select_end_time(lone) == 0
-    with pytest.raises(EmptySeriesError):
+    with pytest.raises(ConfigError, match="a1: no measurements to anchor the window"):
         select_end_time(series_of({"crp": ([], [])}))
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError, match="a1: positive admission lacks a culture time"):
         select_end_time(series_of({"crp": ([5], [1.0])}, label=1, fpt=None))
 
 
@@ -334,29 +333,29 @@ def test_tensor_cache_validation(tmp_path):
 
     wrong = tmp_path / "wrong.bin"
     wrong.write_bytes(b"#other v9\n" + blob)
-    with pytest.raises(TensorCacheError):
+    with pytest.raises(IntegrityError, match="bad tensor cache magic"):
         read_tensors(wrong)
 
     short = tmp_path / "short.bin"
     short.write_bytes(blob[:-11])
-    with pytest.raises(TensorCacheError):
+    with pytest.raises(IntegrityError, match="truncated values of x"):
         read_tensors(short)
 
     flipped = bytearray(blob)
     flipped[len(b"#hemocult-tensors v1\n") + 4 + 1] = 7  # label byte after the 1-char id
     bad_label = tmp_path / "label.bin"
     bad_label.write_bytes(bytes(flipped))
-    with pytest.raises(TensorCacheError):
+    with pytest.raises(IntegrityError, match="label byte 7 for x"):
         read_tensors(bad_label)
 
     flipped = bytearray(blob)
     flipped[len(b"#hemocult-tensors v1\n") + 4] = 0xFF  # the 1-char id
     bad_id = tmp_path / "id.bin"
     bad_id.write_bytes(bytes(flipped))
-    with pytest.raises(TensorCacheError, match="not UTF-8"):
+    with pytest.raises(IntegrityError, match="not UTF-8"):
         read_tensors(bad_id)
 
     twice = tmp_path / "twice.bin"
     write_tensors(tensors * 2, twice)
-    with pytest.raises(TensorCacheError, match="admission id x appears twice"):
+    with pytest.raises(IntegrityError, match="admission id x appears twice"):
         read_tensors(twice)

@@ -9,8 +9,7 @@ from scipy.special import logit
 
 from helpers import make_tensors
 from hemocult import lstm, training
-from hemocult.errors import (ConfigError, ContractViolationError, FoldError,
-                             StratificationError, TrainingDivergence)
+from hemocult.errors import ConfigError, IntegrityError, SplitError, TrainingDivergence
 from hemocult.training import (FoldPlan, HyperParams, TrainResult,
                                ensemble_scores, grid_search, make_folds,
                                stratified_split, train_folds, train_one)
@@ -88,9 +87,9 @@ def test_split_validation():
             stratified_split(ids, labels, bad)
     with pytest.raises(ConfigError):
         stratified_split(ids, labels[:-1])
-    with pytest.raises(StratificationError):
+    with pytest.raises(SplitError, match="stratified split needs both classes present"):
         stratified_split(ids, [0] * 10)
-    with pytest.raises(StratificationError):
+    with pytest.raises(SplitError, match="cannot split an empty cohort"):
         stratified_split([], [])
 
 
@@ -127,10 +126,10 @@ def test_folds_validation():
     ids, labels = fake_ids(20, 5)
     with pytest.raises(ConfigError):
         make_folds(ids, labels, k=1)
-    with pytest.raises(FoldError):
-        make_folds(ids, labels, k=10)  # only 5 positives
-    with pytest.raises(FoldError):
-        make_folds(ids[:8], labels[:8], k=4)  # only 3 negatives
+    with pytest.raises(SplitError, match="positive class has 5 members, fewer than k=10"):
+        make_folds(ids, labels, k=10)
+    with pytest.raises(SplitError, match="negative class has 3 members, fewer than k=4"):
+        make_folds(ids[:8], labels[:8], k=4)
 
 
 def test_train_one_reduces_training_loss():
@@ -224,7 +223,6 @@ def test_train_one_validation_requirements():
         train_one(tensors, make_tensors(4, 0, seed=2), SMALL_HYPER)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_infinite_class_weight_diverges():
     # scores are clipped strictly inside (0, 1), so a positive example
     # under w_pos=inf yields an infinite batch loss before any update
@@ -239,7 +237,6 @@ def test_infinite_class_weight_diverges():
     assert clone.epoch == exc.epoch and np.isinf(clone.loss)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_poisoned_input_diverges():
     tensors = make_tensors(12, 3, seed=6)
     tensors[4].values[10, 2] = np.nan
@@ -278,7 +275,34 @@ def test_train_folds_parallel_matches_serial():
         assert params_equal(a.params, b.params)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_folds_starts_no_more_workers_than_folds(monkeypatch):
+    opened = []
+
+    class InProcessPool:
+        """Records its worker count and maps in this process, so no process starts."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", InProcessPool)
+    tensors = make_tensors(16, 8, seed=4)
+    plan = make_folds([t.admission_id for t in tensors], [t.label for t in tensors], k=3, seed=0)
+    hyper = replace(SMALL_HYPER, max_epochs=1)
+    pooled = train_folds(tensors, plan, hyper, jobs=64)
+    assert opened == [3]
+    for a, b in zip(train_folds(tensors, plan, hyper), pooled, strict=True):
+        assert params_equal(a.params, b.params)
+
+
 def test_train_folds_tags_divergent_fold():
     tensors = make_tensors(16, 8, seed=4)
     ids = [t.admission_id for t in tensors]
@@ -353,7 +377,6 @@ def test_grid_search_rejects_empty_grid():
         grid_search([], FoldPlan(folds=[["a"], ["b"]]), [])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_search_tags_divergent_cell():
     tensors = make_tensors(16, 8, seed=4)
     ids = [t.admission_id for t in tensors]
@@ -401,7 +424,7 @@ def test_ensemble_scores_permutation_invariant():
 
 
 def test_ensemble_requires_members():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(IntegrityError, match="ensemble has no members"):
         ensemble_scores([], make_tensors(2, 1))
 
 
