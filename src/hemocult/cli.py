@@ -28,8 +28,8 @@ from .metrics import (baseline_constant, baseline_proportional, export_curve,
                       export_curve_svg, pr_curve)
 from .prep import (build_tensor, filter_outliers, fit_normalizer,
                    read_tensors, write_stats, write_tensors)
-from .training import (GRID_HIDDEN, GRID_LR, HyperParams, ensemble_scores,
-                       grid_search, make_folds, stratified_split)
+from .training import (GRID_HIDDEN, GRID_LR, LOCKSTEP_MAX_HIDDEN, HyperParams,
+                       ensemble_scores, grid_search, make_folds, stratified_split)
 
 SPLIT_SEED_OFFSET = 1_000_003
 BASELINE2_SEED_OFFSET = 2_000_003
@@ -57,13 +57,17 @@ def _parse_horizon(text: str):
 
 
 def _parse_list(text: str, kind, flag: str):
+    """Distinct comma-separated values: a repeated value would train the same cells again."""
     try:
         values = tuple(kind(tok) for tok in text.split(",") if tok)
-        if values:
-            return values
     except ValueError:
-        pass
-    raise ConfigError(f"{flag} must be a comma list of {kind.__name__} values, got {text!r}")
+        values = ()
+    if not values:
+        raise ConfigError(f"{flag} must be a comma list of {kind.__name__} values, got {text!r}")
+    for n, value in enumerate(values):
+        if value in values[:n]:
+            raise ConfigError(f"{flag} lists {value!r} more than once, got {text!r}")
+    return values
 
 
 def write_split(path, ids, partitions):
@@ -392,7 +396,10 @@ def _add_train_flags(sub):
     sub.add_argument("--patience", type=int, default=None)
     sub.add_argument("--w-pos", type=float, default=None)
     sub.add_argument("--folds", type=int, default=10)
-    sub.add_argument("--jobs", type=int, default=1, help="parallel fold trainings")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker processes for a cell's folds, at most --folds; the folds of a "
+                          f"cell with at most {LOCKSTEP_MAX_HIDDEN} hidden units train in "
+                          "lockstep within each process")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,8 +14,13 @@ function, the last H rows get tanh. Cell recurrences:
     o = sigma(W_o x + U_o h + b_o)      g = tanh (W_g x + U_g h + b_g)
     c = f * c_prev + i * g              h = o * tanh(c)
 
-forward_batch and backward_batch take (B, T, n) arrays. Initial hidden
-and cell states are zero.
+forward_stack and backward_stack run M models with the same hidden size
+at once, model m on its own batch: inputs are (M, B, T, n) and every
+recurrence GEMM is an (M, ., .) np.matmul stack, while the per-model
+reductions (weight gradients, head, loss) keep the shapes of a single
+model, so each model's results are bit-identical to a call on it alone.
+forward_batch and backward_batch are the M = 1 case and take (B, T, n)
+arrays. Initial hidden and cell states are zero.
 
 Checkpoint layout, all fields little-endian:
 
@@ -128,92 +133,162 @@ def init_params(hidden_size: int, seed) -> ModelParams:
     return ModelParams(fwd, bwd, head_w, head_b)
 
 
-def _run_direction(X: np.ndarray, p: CellParams):
-    """Unroll one direction over X of shape (B, T, n_in); cache all intermediates."""
-    B, T, n_in = X.shape
-    H = p.hidden
-    Zx = X.reshape(B * T, n_in) @ p.W.T
-    Zx += p.b
-    Zx = Zx.reshape(B, T, 4 * H)
-    A = np.empty((T, B, 4 * H))
-    C = np.empty((T, B, H))
-    TC = np.empty((T, B, H))
-    Hs = np.zeros((T + 1, B, H))
-    c = np.zeros((B, H))
-    h = Hs[0]
+def _run_direction(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray):
+    """Unroll one direction of M models over X of shape (M, B, T, n_in).
+
+    W, U and b stack the M models' weights on a leading axis. Every cached
+    array is (M, T, B, .), so each model's slice is contiguous.
+    """
+    M, B, T, n_in = X.shape
+    H = U.shape[2]
+    Zx = np.matmul(X.reshape(M, B * T, n_in), W.transpose(0, 2, 1))
+    Zx += b[:, None, :]
+    Zx = Zx.reshape(M, B, T, 4 * H)
+    UT = U.transpose(0, 2, 1)
+    A = np.empty((M, T, B, 4 * H))
+    C = np.empty((M, T, B, H))
+    TC = np.empty((M, T, B, H))
+    Hs = np.zeros((M, T + 1, B, H))
+    c = np.zeros((M, B, H))
+    h = Hs[:, 0]
     for t in range(T):
-        z = Zx[:, t, :] + h @ p.U.T
-        a = A[t]
-        a[:, :3 * H] = expit(z[:, :3 * H])
-        a[:, 3 * H:] = np.tanh(z[:, 3 * H:])
-        i = a[:, :H]
-        f = a[:, H:2 * H]
-        o = a[:, 2 * H:3 * H]
-        g = a[:, 3 * H:]
+        z = Zx[:, :, t, :] + np.matmul(h, UT)
+        a = A[:, t]
+        a[..., :3 * H] = expit(z[..., :3 * H])
+        a[..., 3 * H:] = np.tanh(z[..., 3 * H:])
+        i = a[..., :H]
+        f = a[..., H:2 * H]
+        o = a[..., 2 * H:3 * H]
+        g = a[..., 3 * H:]
         c = f * c + i * g
-        C[t] = c
-        np.tanh(c, out=TC[t])
-        np.multiply(o, TC[t], out=Hs[t + 1])
-        h = Hs[t + 1]
+        C[:, t] = c
+        np.tanh(c, out=TC[:, t])
+        np.multiply(o, TC[:, t], out=Hs[:, t + 1])
+        h = Hs[:, t + 1]
     return {"A": A, "C": C, "TC": TC, "Hs": Hs}
 
 
-def _direction_backward(X: np.ndarray, p: CellParams, cache: dict, dh_last: np.ndarray):
-    """Exact BPTT through one direction; returns (dW, dU, db)."""
-    B, T, n_in = X.shape
-    H = p.hidden
+def _direction_backward(X: np.ndarray, U: np.ndarray, cache: dict, dh_last: np.ndarray):
+    """Exact BPTT through one direction of M models; returns (dW, dU, db) per model."""
+    M, B, T, n_in = X.shape
+    H = U.shape[2]
     A, C, TC, Hs = cache["A"], cache["C"], cache["TC"], cache["Hs"]
-    dZ = np.empty((T, B, 4 * H))
+    dZ = np.empty((M, T, B, 4 * H))
     dh = dh_last.copy()
-    dc = np.zeros((B, H))
+    dc = np.zeros((M, B, H))
     for t in range(T - 1, -1, -1):
-        a = A[t]
-        i = a[:, :H]
-        f = a[:, H:2 * H]
-        o = a[:, 2 * H:3 * H]
-        g = a[:, 3 * H:]
-        tc = TC[t]
+        a = A[:, t]
+        i = a[..., :H]
+        f = a[..., H:2 * H]
+        o = a[..., 2 * H:3 * H]
+        g = a[..., 3 * H:]
+        tc = TC[:, t]
         do = dh * tc
         dc += dh * o * (1.0 - tc * tc)
-        dz = dZ[t]
-        np.multiply(dc * g, i * (1.0 - i), out=dz[:, :H])
+        dz = dZ[:, t]
+        np.multiply(dc * g, i * (1.0 - i), out=dz[..., :H])
         if t > 0:
-            np.multiply(dc * C[t - 1], f * (1.0 - f), out=dz[:, H:2 * H])
+            np.multiply(dc * C[:, t - 1], f * (1.0 - f), out=dz[..., H:2 * H])
         else:
-            dz[:, H:2 * H] = 0.0  # c_prev is the zero initial state
-        np.multiply(do, o * (1.0 - o), out=dz[:, 2 * H:3 * H])
-        np.multiply(dc * i, 1.0 - g * g, out=dz[:, 3 * H:])
-        dh = dz @ p.U
+            dz[..., H:2 * H] = 0.0  # c_prev is the zero initial state
+        np.multiply(do, o * (1.0 - o), out=dz[..., 2 * H:3 * H])
+        np.multiply(dc * i, 1.0 - g * g, out=dz[..., 3 * H:])
+        dh = np.matmul(dz, U)
         dc *= f
-    flatZ = dZ.transpose(1, 0, 2).reshape(B * T, 4 * H)
-    dW = flatZ.T @ X.reshape(B * T, n_in)
-    dU = dZ.reshape(T * B, 4 * H).T @ Hs[:-1].reshape(T * B, H)
-    db = dZ.sum(axis=(0, 1))
-    return dW, dU, db
+    grads = []
+    for m in range(M):  # the reductions run per model, in the shapes of a single model
+        flatZ = dZ[m].transpose(1, 0, 2).reshape(B * T, 4 * H)
+        dW = flatZ.T @ X[m].reshape(B * T, n_in)
+        dU = dZ[m].reshape(T * B, 4 * H).T @ Hs[m, :-1].reshape(T * B, H)
+        db = dZ[m].sum(axis=(0, 1))
+        grads.append((dW, dU, db))
+    return grads
+
+
+def _stacked(members, direction: str, names: str = "WUb"):
+    """The named blocks of the members' `direction` cell, each stacked on a leading model axis."""
+    cells = [getattr(p, direction) for p in members]
+    return tuple(np.stack([getattr(cell, name) for cell in cells]) for name in names)
+
+
+def forward_stack(Xs: np.ndarray, members):
+    """Score batch m of Xs with members[m], all M models in one recurrence.
+
+    Xs has shape (M, B, T, n_in); the members share one hidden size. Each
+    model's scores are bit-identical to forward_batch on its own batch.
+    Returns (scores (M, B), cache).
+    """
+    for p in members:
+        p.validate()
+    Xs = np.asarray(Xs, dtype=float)
+    if Xs.ndim != 4 or Xs.shape[0] != len(members) or Xs.shape[3] != N_INPUTS:
+        raise IntegrityError(f"stacked batches have shape {Xs.shape}, "
+                             f"want ({len(members)}, B, T, {N_INPUTS})")
+    H = members[0].hidden_size
+    if any(p.hidden_size != H for p in members):
+        raise IntegrityError("stacked models differ in hidden size")
+    Xr = np.ascontiguousarray(Xs[:, :, ::-1, :])
+    cf = _run_direction(Xs, *_stacked(members, "fwd"))
+    cb = _run_direction(Xr, *_stacked(members, "bwd"))
+    scores = np.empty(Xs.shape[:2])
+    for m, p in enumerate(members):
+        # two separate dot products so direction swap commutes bit-exactly
+        u = cf["Hs"][m, -1] @ p.head_w[:H] + cb["Hs"][m, -1] @ p.head_w[H:] + p.head_b[0]
+        scores[m] = np.clip(expit(u), _SCORE_LO, _SCORE_HI)
+    cache = {"Xs": Xs, "Xr": Xr, "members": members, "fwd": cf, "bwd": cb, "scores": scores}
+    return scores, cache
+
+
+def backward_stack(Xs: np.ndarray, labels: np.ndarray, members, w_pos: float, w_neg: float,
+                   cache: dict):
+    """Per-model sum-over-batch weighted MSE and its exact gradients.
+
+    The cache must come from forward_stack on the same Xs and members;
+    labels has shape (M, B). Returns (losses, grads), one loss and one
+    ModelParams of d loss / d parameter per model, in member order.
+    """
+    if cache.get("Xs") is not Xs or cache.get("members") is not members:
+        raise IntegrityError("cache does not belong to these inputs")
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != Xs.shape[:2]:
+        raise IntegrityError(f"labels have shape {labels.shape}, want {Xs.shape[:2]}")
+    H = members[0].hidden_size
+    cf, cb = cache["fwd"], cache["bwd"]
+    losses, heads = [], []
+    dhf = np.empty((len(members), Xs.shape[1], H))
+    dhb = np.empty(dhf.shape)
+    for m, p in enumerate(members):
+        s = cache["scores"][m]
+        w = np.where(labels[m] == 1.0, float(w_pos), float(w_neg))
+        r = s - labels[m]
+        losses.append(math.fsum(w * r * r))
+        du = 2.0 * w * r * s * (1.0 - s)  # d loss / d pre-squash head activation
+        hf, hb = cf["Hs"][m, -1], cb["Hs"][m, -1]
+        heads.append((np.concatenate([hf.T @ du, hb.T @ du]), np.array([du.sum()])))
+        dhf[m] = du[:, None] * p.head_w[None, :H]
+        dhb[m] = du[:, None] * p.head_w[None, H:]
+    fwd = _direction_backward(Xs, *_stacked(members, "fwd", "U"), cf, dhf)
+    bwd = _direction_backward(cache["Xr"], *_stacked(members, "bwd", "U"), cb, dhb)
+    grads = [ModelParams(CellParams(*f), CellParams(*b), *head)
+             for f, b, head in zip(fwd, bwd, heads)]
+    return losses, grads
 
 
 def forward_batch(X: np.ndarray, p: ModelParams):
-    """Score a batch. X has shape (B, T, n_in). Returns (scores (B,), cache)."""
-    p.validate()
+    """Score a batch: forward_stack with one model. X has shape (B, T, n_in).
+
+    Returns (scores (B,), cache).
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 3 or X.shape[2] != p.fwd.W.shape[1]:
-        raise IntegrityError(f"batch has shape {X.shape}, want (B, T, {p.fwd.W.shape[1]})")
-    H = p.hidden_size
-    Xr = np.ascontiguousarray(X[:, ::-1, :])
-    cf = _run_direction(X, p.fwd)
-    cb = _run_direction(Xr, p.bwd)
-    hf = cf["Hs"][-1]
-    hb = cb["Hs"][-1]
-    # two separate dot products so direction swap commutes bit-exactly
-    u = hf @ p.head_w[:H] + hb @ p.head_w[H:] + p.head_b[0]
-    s = np.clip(expit(u), _SCORE_LO, _SCORE_HI)
-    cache = {"X": X, "Xr": Xr, "params": p, "fwd": cf, "bwd": cb, "hf": hf, "hb": hb, "scores": s}
-    return s, cache
+    if X.ndim != 3 or X.shape[2] != N_INPUTS:
+        raise IntegrityError(f"batch has shape {X.shape}, want (B, T, {N_INPUTS})")
+    scores, cache = forward_stack(X[None], [p])
+    return scores[0], {**cache, "X": X, "params": p}
 
 
 def backward_batch(X: np.ndarray, labels: np.ndarray, p: ModelParams,
                    w_pos: float, w_neg: float, cache: dict):
-    """Sum-over-batch weighted MSE and its exact gradients.
+    """Sum-over-batch weighted MSE and its exact gradients: backward_stack with one model.
 
     The cache must come from forward_batch on the same X and p. Returns
     (loss, grads); grads is a ModelParams of d loss / d parameter.
@@ -221,23 +296,9 @@ def backward_batch(X: np.ndarray, labels: np.ndarray, p: ModelParams,
     if cache.get("X") is not X or cache.get("params") is not p:
         raise IntegrityError("cache does not belong to these inputs")
     labels = np.asarray(labels, dtype=float)
-    if labels.shape != (X.shape[0],):
-        raise IntegrityError(f"labels have shape {labels.shape}, want ({X.shape[0]},)")
-    s = cache["scores"]
-    w = np.where(labels == 1.0, float(w_pos), float(w_neg))
-    r = s - labels
-    loss = math.fsum(w * r * r)
-    H = p.hidden_size
-    du = 2.0 * w * r * s * (1.0 - s)  # d loss / d pre-squash head activation
-    hf, hb = cache["hf"], cache["hb"]
-    g_head_w = np.concatenate([hf.T @ du, hb.T @ du])
-    g_head_b = np.array([du.sum()])
-    dhf = du[:, None] * p.head_w[None, :H]
-    dhb = du[:, None] * p.head_w[None, H:]
-    fW, fU, fb = _direction_backward(X, p.fwd, cache["fwd"], dhf)
-    bW, bU, bb = _direction_backward(cache["Xr"], p.bwd, cache["bwd"], dhb)
-    grads = ModelParams(CellParams(fW, fU, fb), CellParams(bW, bU, bb), g_head_w, g_head_b)
-    return loss, grads
+    losses, grads = backward_stack(cache["Xs"], labels[None], cache["members"],
+                                   w_pos, w_neg, cache)
+    return losses[0], grads[0]
 
 
 def weighted_mse(scores, labels, w_pos: float, w_neg: float) -> float:

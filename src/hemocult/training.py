@@ -9,6 +9,15 @@ returned is the one from the epoch with the highest validation PR AUC.
 All randomness flows from explicit seeds: fold f of a run trains with
 seed + f, and each fold's generator drives both its parameter init and
 its per-epoch shuffles.
+
+The folds of a cell train in lockstep: at each batch offset, the folds
+whose batch has the same size share one stacked forward and backward pass
+(lstm.forward_stack), while each keeps its own generator, updates,
+validation and stopping rules. Every fold model is bit-identical to
+training that fold alone, as train_one does. Stacking pays only while the
+per-call numpy overhead dominates, so it stops at LOCKSTEP_MAX_HIDDEN
+hidden units; above that the folds train one at a time. With several
+worker processes, each takes a contiguous group of folds.
 """
 
 import math
@@ -16,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +38,11 @@ from .prep import SampleTensor
 GRID_HIDDEN = (10, 100, 1000)
 GRID_LR = (0.0001, 0.001, 0.01)
 EARLY_STOP_THRESHOLD = 0.90
+# Folds train in lockstep only up to this hidden size. Measured at batch 32:
+# stacking was neutral at H=20 and slower at H=32 and H=100, and each stacked
+# fold holds its own BPTT caches (its gate activations alone take about 74 MB
+# per direction at H=1000).
+LOCKSTEP_MAX_HIDDEN = 16
 
 
 @dataclass
@@ -141,96 +156,181 @@ def _score_matrix(params: lstm.ModelParams, X: np.ndarray, chunk: int = 256) -> 
     return scores
 
 
+class _Fold:
+    """One split's model, generator and early-stopping state in the lockstep trainer."""
+
+    def __init__(self, labels: np.ndarray, train_rows, val_rows, hyper: HyperParams, val_metric):
+        if not len(train_rows):
+            raise ConfigError("empty training set")
+        if val_metric is None:
+            if not len(val_rows):
+                raise ConfigError("empty validation set")
+            if labels[val_rows].sum() == 0:
+                raise ConfigError("validation set has no positive example")
+        self.train_rows, self.val_rows = np.asarray(train_rows), np.asarray(val_rows)
+        self.rng = np.random.default_rng(hyper.seed)
+        self.params = lstm.init_params(hyper.hidden_size, self.rng)
+        self.history: List[float] = []
+        self.best_val, self.best_epoch, self.best_params = -np.inf, 0, self.params.copy()
+        self.drops = 0
+        self.order = None  # this epoch's shuffle of train_rows
+        self.stopped = False
+        self.failure: Optional[Exception] = None
+
+    def step(self, grads: lstm.ModelParams, loss_sum: float, size: int, epoch: int,
+             learning_rate: float):
+        """One gradient descent update from a batch of `size` examples."""
+        batch_loss = loss_sum / size
+        if not np.isfinite(batch_loss):
+            raise TrainingDivergence(epoch, batch_loss)
+        step = learning_rate / size
+        for (name, arr), (_, g) in zip(self.params.named_arrays(), grads.named_arrays()):
+            arr -= step * g
+            if not np.isfinite(arr).all():
+                raise TrainingDivergence(epoch, batch_loss, block=name)
+
+    def end_epoch(self, metric: float, epoch: int, patience: int) -> bool:
+        """Record the epoch's validation metric; True once a stopping rule fires."""
+        self.history.append(metric)
+        if metric > self.best_val:
+            self.best_val, self.best_epoch, self.best_params = metric, epoch, self.params.copy()
+        if metric > EARLY_STOP_THRESHOLD:
+            return True
+        if len(self.history) >= 2 and metric < self.history[-2]:
+            self.drops += 1
+            return self.drops >= patience
+        self.drops = 0
+        return False
+
+
+def _before_failure(folds):
+    """The folds ahead of the first failed one: a fold after it can no longer be returned."""
+    for n, fold in enumerate(folds):
+        if fold.failure is not None:
+            return folds[:n]
+    return folds
+
+
+def _train_lockstep(tensors: Sequence[SampleTensor], splits, hyper: HyperParams,
+                    val_metric=None) -> list:
+    """Train one model per (train rows, val rows, seed) split of tensors, all in lockstep.
+
+    Each split keeps train_one's rules and its own generator; at every batch
+    offset the splits whose batch has the same size share one forward_stack
+    and backward_stack, so each model is bit-identical to training its split
+    alone. Returns one TrainResult per split, in order, as training them one
+    after another would: a split that fails (a divergence, or an error from
+    its validation scoring) ends the list with its exception, and the splits
+    after it are dropped. A split that cannot train (an empty side, or no
+    positive to validate on) raises its ConfigError before any split trains.
+    """
+    hyper.validate()
+    labels = np.array([t.label for t in tensors], dtype=int)
+    X = np.stack([t.values for t in tensors]) if len(tensors) else None
+    y = labels.astype(float)
+    folds = [_Fold(labels, train_rows, val_rows, replace(hyper, seed=seed), val_metric)
+             for train_rows, val_rows, seed in splits]
+    live = folds
+    # a non-finite loss or weight is refused below; numpy's overflow warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, hyper.max_epochs + 1):
+            for fold in live:
+                fold.order = fold.train_rows[fold.rng.permutation(fold.train_rows.size)]
+            for lo in range(0, max((f.order.size for f in live), default=0), hyper.batch_size):
+                # folds differ in size, so their last batches do; padding would change the bits
+                sizes = {min(hyper.batch_size, f.order.size - lo) for f in live if f.order.size > lo}
+                for size in sorted(sizes, reverse=True):
+                    group = [f for f in live if min(hyper.batch_size, f.order.size - lo) == size]
+                    idx = np.stack([f.order[lo:lo + size] for f in group])
+                    Xs = X[idx]
+                    members = [f.params for f in group]
+                    _, cache = lstm.forward_stack(Xs, members)
+                    losses, grads = lstm.backward_stack(Xs, y[idx], members, hyper.w_pos, 1.0, cache)
+                    for fold, loss_sum, g in zip(group, losses, grads):
+                        try:
+                            fold.step(g, loss_sum, size, epoch, hyper.learning_rate)
+                        except TrainingDivergence as exc:
+                            fold.failure = exc
+                    live = _before_failure(live)
+            for fold in live:
+                try:
+                    if val_metric is not None:
+                        metric = float(val_metric(fold.params, epoch))
+                    else:
+                        metric = pr_auc(_score_matrix(fold.params, X[fold.val_rows]),
+                                        labels[fold.val_rows])
+                except Exception as exc:  # raised by the caller if no earlier fold fails
+                    fold.failure = exc
+                    continue
+                fold.stopped = fold.end_epoch(metric, epoch, hyper.patience)
+            live = [f for f in _before_failure(live) if not f.stopped]
+            if not live:
+                break
+    outcomes = []
+    for fold in folds:
+        if fold.failure is not None:
+            return outcomes + [fold.failure]
+        outcomes.append(TrainResult(params=fold.best_params, history=fold.history,
+                                    best_epoch=fold.best_epoch, best_val=fold.best_val))
+    return outcomes
+
+
 def train_one(train_tensors: Sequence[SampleTensor], val_tensors: Sequence[SampleTensor],
               hyper: HyperParams,
               val_metric: Optional[Callable[[lstm.ModelParams, int], float]] = None) -> TrainResult:
     """Mini-batch gradient descent with per-epoch validation early stopping.
 
-    val_metric, when given, replaces the validation PR AUC computation;
-    it receives (current params, 1-based epoch) and returns the metric.
+    The lockstep trainer with one split. val_metric, when given, replaces
+    the validation PR AUC computation; it receives (current params,
+    1-based epoch) and returns the metric.
     """
-    hyper.validate()
-    if not len(train_tensors):
-        raise ConfigError("empty training set")
-    val_labels = np.array([t.label for t in val_tensors], dtype=int)
-    if val_metric is None:
-        if not len(val_tensors):
-            raise ConfigError("empty validation set")
-        if val_labels.sum() == 0:
-            raise ConfigError("validation set has no positive example")
-    rng = np.random.default_rng(hyper.seed)
-    params = lstm.init_params(hyper.hidden_size, rng)
-    X = np.stack([t.values for t in train_tensors])
-    y = np.array([float(t.label) for t in train_tensors])
-    val_X = np.stack([t.values for t in val_tensors]) if len(val_tensors) else None
-
-    history: List[float] = []
-    best_val = -np.inf
-    best_epoch = 0
-    best_params = params.copy()
-    drops = 0
-    # a non-finite loss or weight is refused below; numpy's overflow warnings would repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, hyper.max_epochs + 1):
-            order = rng.permutation(X.shape[0])
-            for lo in range(0, X.shape[0], hyper.batch_size):
-                idx = order[lo:lo + hyper.batch_size]
-                Xb = np.ascontiguousarray(X[idx])
-                yb = y[idx]
-                _, cache = lstm.forward_batch(Xb, params)
-                loss_sum, grads = lstm.backward_batch(Xb, yb, params, hyper.w_pos, 1.0, cache)
-                batch_loss = loss_sum / idx.size
-                if not np.isfinite(batch_loss):
-                    raise TrainingDivergence(epoch, batch_loss)
-                step = hyper.learning_rate / idx.size
-                for (name, arr), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
-                    arr -= step * g
-                    if not np.isfinite(arr).all():
-                        raise TrainingDivergence(epoch, batch_loss, block=name)
-            if val_metric is not None:
-                metric = float(val_metric(params, epoch))
-            else:
-                metric = pr_auc(_score_matrix(params, val_X), val_labels)
-            history.append(metric)
-            if metric > best_val:
-                best_val = metric
-                best_epoch = epoch
-                best_params = params.copy()
-            if metric > EARLY_STOP_THRESHOLD:
-                break
-            if len(history) >= 2 and metric < history[-2]:
-                drops += 1
-                if drops >= hyper.patience:
-                    break
-            else:
-                drops = 0
-    return TrainResult(params=best_params, history=history,
-                       best_epoch=best_epoch, best_val=best_val)
+    n = len(train_tensors)
+    split = (range(n), range(n, n + len(val_tensors)), hyper.seed)
+    (outcome,) = _train_lockstep([*train_tensors, *val_tensors], [split], hyper, val_metric)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _train_fold(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
-                fold: int) -> TrainResult:
-    val_ids = set(plan.folds[fold])
-    train = [t for t in tensors if t.admission_id not in val_ids]
-    val = [t for t in tensors if t.admission_id in val_ids]
-    try:
-        return train_one(train, val, replace(hyper, seed=hyper.seed + fold))
-    except TrainingDivergence as exc:
-        raise TrainingDivergence(exc.epoch, exc.loss, (hyper.hidden_size, hyper.learning_rate),
-                                 fold, exc.block) from None
+def _train_group(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
+                 group) -> list:
+    """The lockstep trainer on the folds in group: fold f validates on partition f with seed+f."""
+    splits = []
+    for fold in group:
+        val_ids = set(plan.folds[fold])
+        in_val = [t.admission_id in val_ids for t in tensors]
+        splits.append(([i for i, v in enumerate(in_val) if not v],
+                       [i for i, v in enumerate(in_val) if v], hyper.seed + int(fold)))
+    return _train_lockstep(tensors, splits, hyper)
 
 
 def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
                 jobs: int = 1) -> List[TrainResult]:
     """One model per fold, fold f validating on partition f with seed+f.
 
-    With jobs > 1 the folds train in min(jobs, k) worker processes; results
-    come back in fold order either way.
+    At hidden sizes up to LOCKSTEP_MAX_HIDDEN the folds of each process
+    train in lockstep: with jobs > 1, each of min(jobs, k) worker processes
+    takes a contiguous group of folds. Above it, every fold trains on its
+    own, in worker processes when jobs > 1. Results come back in fold order
+    either way, and a failure is raised for the lowest failed fold.
     """
-    task = partial(_train_fold, tensors, plan, hyper)
     workers = min(jobs, plan.k)
+    if hyper.hidden_size <= LOCKSTEP_MAX_HIDDEN:
+        groups = np.array_split(np.arange(plan.k), workers)
+    else:
+        groups = [[fold] for fold in range(plan.k)]
+    task = partial(_train_group, tensors, plan, hyper)
+    results: List[TrainResult] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        return list((pool.map if pool else map)(task, range(plan.k)))
+        for outcome in chain.from_iterable((pool.map if pool else map)(task, groups)):
+            if isinstance(outcome, TrainingDivergence):
+                raise TrainingDivergence(outcome.epoch, outcome.loss,
+                                         (hyper.hidden_size, hyper.learning_rate),
+                                         len(results), outcome.block) from None
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append(outcome)
+    return results
 
 
 @dataclass

@@ -685,7 +685,11 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
                           (preprocess + ["--seed", "-2000000"], "seed"),
                           (evaluate + ["--seed", "-2000004"], "seed"),
                           (pipeline + TINY_TRAIN + ["--grid", "--grid-lr", ","], "--grid-lr"),
-                          (train + TINY_TRAIN + ["--grid", "--grid-hidden", ""], "--grid-hidden")):
+                          (train + TINY_TRAIN + ["--grid", "--grid-hidden", ""], "--grid-hidden"),
+                          (train + TINY_TRAIN + ["--grid", "--grid-hidden", "2,2"],
+                           "--grid-hidden lists 2 more than once"),
+                          (pipeline + TINY_TRAIN + ["--grid", "--grid-lr", "0.1,0.1"],
+                           "--grid-lr lists 0.1 more than once")):
         code, _, err = run(*argv)
         assert code == 2 and message in err, (argv, err)
         assert not (tmp_path / "z").exists() and not (tmp_path / "z.bin").exists(), argv

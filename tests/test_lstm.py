@@ -9,8 +9,8 @@ from scipy.special import expit
 import oracles
 from hemocult.errors import IntegrityError
 from hemocult.lstm import (CellParams, ModelParams, _layout, backward_batch,
-                           forward_batch, init_params, load_params,
-                           save_params, weighted_mse)
+                           backward_stack, forward_batch, forward_stack,
+                           init_params, load_params, save_params, weighted_mse)
 
 
 def zero_cell(H, n_in=9):
@@ -38,7 +38,7 @@ def first_step(fwd_cell):
     p = ModelParams(fwd_cell, zero_cell(fwd_cell.hidden), np.zeros(2 * fwd_cell.hidden),
                     np.zeros(1))
     _, cache = forward_batch(np.zeros((1, 1, 9)), p)
-    return cache["fwd"]["Hs"][1, 0], cache["fwd"]["C"][0, 0]
+    return cache["fwd"]["Hs"][0, 1, 0], cache["fwd"]["C"][0, 0, 0]  # model 0, its step, row 0
 
 
 def test_first_step_zero_fixed_point():
@@ -201,6 +201,28 @@ def test_backward_batch_gradient_is_sum_over_examples():
             acc += piece
     for (_, a), b in zip(grads.named_arrays(), total):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("H", [3, 10])
+def test_stacked_models_equal_single_model_calls(H):
+    members = [noisy_params(H, 40 + m)[0] for m in range(3)]
+    rng = np.random.default_rng(H)
+    Xs = rng.normal(size=(3, 5, 72, 9))
+    labels = (rng.random((3, 5)) < 0.4).astype(float)
+    scores, cache = forward_stack(Xs, members)
+    losses, grads = backward_stack(Xs, labels, members, 8.0, 1.0, cache)
+    for m, p in enumerate(members):
+        X = Xs[m].copy()
+        alone, alone_cache = forward_batch(X, p)
+        loss, alone_grads = backward_batch(X, labels[m], p, 8.0, 1.0, alone_cache)
+        assert np.array_equal(scores[m], alone)
+        assert losses[m] == loss
+        for (name, a), (_, b) in zip(grads[m].named_arrays(), alone_grads.named_arrays()):
+            assert np.array_equal(a, b), (m, name)
+    with pytest.raises(IntegrityError, match="stacked models differ in hidden size"):
+        forward_stack(Xs, members[:2] + [noisy_params(H + 1, 0)[0]])
+    with pytest.raises(IntegrityError, match="cache does not belong to these inputs"):
+        backward_stack(Xs, labels, list(members), 8.0, 1.0, cache)
 
 
 def test_gradients_match_finite_differences_spot():

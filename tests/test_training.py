@@ -275,14 +275,16 @@ def test_train_folds_parallel_matches_serial():
         assert params_equal(a.params, b.params)
 
 
-def test_train_folds_starts_no_more_workers_than_folds(monkeypatch):
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces the worker pool; returns the (worker count, mapped items) of each pool opened."""
     opened = []
 
     class InProcessPool:
-        """Records its worker count and maps in this process, so no process starts."""
+        """Records its worker count and the items mapped, and maps in this process."""
 
         def __init__(self, max_workers):
-            opened.append(max_workers)
+            opened.append((max_workers, []))
 
         def __enter__(self):
             return self
@@ -291,16 +293,51 @@ def test_train_folds_starts_no_more_workers_than_folds(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            opened[-1][1].extend([int(i) for i in item] for item in items)
             return map(fn, items)
 
     monkeypatch.setattr(training, "ProcessPoolExecutor", InProcessPool)
+    return opened
+
+
+def test_train_folds_starts_no_more_workers_than_folds(in_process_pool):
     tensors = make_tensors(16, 8, seed=4)
     plan = make_folds([t.admission_id for t in tensors], [t.label for t in tensors], k=3, seed=0)
     hyper = replace(SMALL_HYPER, max_epochs=1)
     pooled = train_folds(tensors, plan, hyper, jobs=64)
-    assert opened == [3]
+    assert [workers for workers, _ in in_process_pool] == [3]
     for a, b in zip(train_folds(tensors, plan, hyper), pooled, strict=True):
         assert params_equal(a.params, b.params)
+    # each worker takes a contiguous group of folds to train in lockstep
+    in_process_pool.clear()
+    tensors = make_tensors(20, 10, seed=5)
+    plan = make_folds([t.admission_id for t in tensors], [t.label for t in tensors], k=5, seed=2)
+    train_folds(tensors, plan, hyper, jobs=2)
+    # above LOCKSTEP_MAX_HIDDEN every fold is a task of its own
+    train_folds(tensors, plan, replace(hyper, hidden_size=training.LOCKSTEP_MAX_HIDDEN + 1),
+                jobs=2)
+    assert in_process_pool == [(2, [[0, 1, 2], [3, 4]]), (2, [[0], [1], [2], [3], [4]])]
+
+
+def test_train_folds_in_lockstep_equals_one_fold_at_a_time(in_process_pool):
+    # 23 tensors in 4 folds: training sides of 17 and 18, so batches of 4 end in tails of 1 and 2
+    tensors = make_tensors(23, 8, seed=5, shift=0.05)
+    plan = make_folds([t.admission_id for t in tensors], [t.label for t in tensors], k=4, seed=5)
+    hyper = replace(SMALL_HYPER, max_epochs=8, batch_size=4)
+    lockstep = train_folds(tensors, plan, hyper)
+    assert len({len(r.history) for r in lockstep}) == 4  # every fold stops at its own epoch
+    pooled = train_folds(tensors, plan, hyper, jobs=2)
+    assert in_process_pool == [(2, [[0, 1], [2, 3]])]
+    for fold, (result, other) in enumerate(zip(lockstep, pooled, strict=True)):
+        val_ids = set(plan.folds[fold])
+        train = [t for t in tensors if t.admission_id not in val_ids]
+        val = [t for t in tensors if t.admission_id in val_ids]
+        solo = train_one(train, val, replace(hyper, seed=hyper.seed + fold))
+        for r in (result, other):
+            assert r.history == solo.history
+            assert (r.best_epoch, r.best_val) == (solo.best_epoch, solo.best_val)
+            assert params_equal(r.params, solo.params)
 
 
 def test_train_folds_tags_divergent_fold():
@@ -314,6 +351,20 @@ def test_train_folds_tags_divergent_fold():
     assert exc.fold == 0  # every fold diverges; the first one reports
     assert exc.cell == (SMALL_HYPER.hidden_size, SMALL_HYPER.learning_rate)
     assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_train_folds_reports_the_lowest_divergent_fold(jobs):
+    tensors = make_tensors(16, 8, seed=4)
+    plan = make_folds([t.admission_id for t in tensors], [t.label for t in tensors], k=3, seed=0)
+    # the other folds train on this tensor and diverge; fold 0 only scores it, and stays finite
+    poisoned = next(t for t in tensors if t.admission_id in set(plan.folds[0]))
+    poisoned.values[5, 0] = np.inf
+    with pytest.raises(TrainingDivergence) as info:
+        train_folds(tensors, plan, SMALL_HYPER, jobs=jobs)
+    exc = info.value
+    assert exc.fold == 1
+    assert exc.block == "fwd_W" and exc.cell == (2, 0.05)
 
 
 def test_grid_search_single_cell():
