@@ -14,13 +14,14 @@ function, the last H rows get tanh. Cell recurrences:
     o = sigma(W_o x + U_o h + b_o)      g = tanh (W_g x + U_g h + b_g)
     c = f * c_prev + i * g              h = o * tanh(c)
 
-forward_stack and backward_stack run M models with the same hidden size
-at once, model m on its own batch: inputs are (M, B, T, n) and every
-recurrence GEMM is an (M, ., .) np.matmul stack, while the per-model
-reductions (weight gradients, head, loss) keep the shapes of a single
-model, so each model's results are bit-identical to a call on it alone.
-forward_batch and backward_batch are the M = 1 case and take (B, T, n)
-arrays. Initial hidden and cell states are zero.
+Two entry points: score(X, p) scores one model on a (B, T, n) batch, and
+loss_and_grads runs M models with the same hidden size through the
+forward pass and BPTT in one call, model m on its own batch: inputs are
+(M, B, T, n) and every recurrence GEMM is an (M, ., .) np.matmul stack,
+while the per-model reductions (weight gradients, head, loss) keep the
+shapes of a single model, so each model's results are bit-identical to a
+call on it alone. The BPTT arrays never leave that call. Initial hidden
+and cell states are zero.
 
 Checkpoint layout, all fields little-endian:
 
@@ -136,8 +137,9 @@ def init_params(hidden_size: int, seed) -> ModelParams:
 def _run_direction(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray):
     """Unroll one direction of M models over X of shape (M, B, T, n_in).
 
-    W, U and b stack the M models' weights on a leading axis. Every cached
-    array is (M, T, B, .), so each model's slice is contiguous.
+    W, U and b stack the M models' weights on a leading axis. Returns the
+    gates A, cell states C, their tanh TC and hidden states Hs (zero state
+    first) that BPTT reads, each (M, T, B, .) so a model's slice is contiguous.
     """
     M, B, T, n_in = X.shape
     H = U.shape[2]
@@ -165,14 +167,14 @@ def _run_direction(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray):
         np.tanh(c, out=TC[:, t])
         np.multiply(o, TC[:, t], out=Hs[:, t + 1])
         h = Hs[:, t + 1]
-    return {"A": A, "C": C, "TC": TC, "Hs": Hs}
+    return A, C, TC, Hs
 
 
-def _direction_backward(X: np.ndarray, U: np.ndarray, cache: dict, dh_last: np.ndarray):
+def _direction_backward(X: np.ndarray, U: np.ndarray, arrays, dh_last: np.ndarray):
     """Exact BPTT through one direction of M models; returns (dW, dU, db) per model."""
     M, B, T, n_in = X.shape
     H = U.shape[2]
-    A, C, TC, Hs = cache["A"], cache["C"], cache["TC"], cache["Hs"]
+    A, C, TC, Hs = arrays
     dZ = np.empty((M, T, B, 4 * H))
     dh = dh_last.copy()
     dc = np.zeros((M, B, H))
@@ -205,107 +207,74 @@ def _direction_backward(X: np.ndarray, U: np.ndarray, cache: dict, dh_last: np.n
     return grads
 
 
-def _stacked(members, direction: str, names: str = "WUb"):
-    """The named blocks of the members' `direction` cell, each stacked on a leading model axis."""
-    cells = [getattr(p, direction) for p in members]
-    return tuple(np.stack([getattr(cell, name) for cell in cells]) for name in names)
+def _forward(Xs, members):
+    """Score batch m of Xs (M, B, T, n_in) with members[m], all in one recurrence.
 
-
-def forward_stack(Xs: np.ndarray, members):
-    """Score batch m of Xs with members[m], all M models in one recurrence.
-
-    Xs has shape (M, B, T, n_in); the members share one hidden size. Each
-    model's scores are bit-identical to forward_batch on its own batch.
-    Returns (scores (M, B), cache).
+    The members share one hidden size. Returns the (M, B) scores, both
+    directions' (M, B, H) last hidden states, and per direction the (input,
+    stacked U, _run_direction arrays) that _direction_backward takes.
     """
     for p in members:
         p.validate()
     Xs = np.asarray(Xs, dtype=float)
-    if Xs.ndim != 4 or Xs.shape[0] != len(members) or Xs.shape[3] != N_INPUTS:
-        raise IntegrityError(f"stacked batches have shape {Xs.shape}, "
+    if Xs.ndim != 4 or len(Xs) != len(members) or Xs.shape[3] != N_INPUTS:
+        raise IntegrityError(f"batch has shape {Xs.shape[1:]} in a stack of shape {Xs.shape}, "
                              f"want ({len(members)}, B, T, {N_INPUTS})")
     H = members[0].hidden_size
     if any(p.hidden_size != H for p in members):
         raise IntegrityError("stacked models differ in hidden size")
-    Xr = np.ascontiguousarray(Xs[:, :, ::-1, :])
-    cf = _run_direction(Xs, *_stacked(members, "fwd"))
-    cb = _run_direction(Xr, *_stacked(members, "bwd"))
+    directions = []
+    for X, cells in ((Xs, [p.fwd for p in members]),
+                     (np.ascontiguousarray(Xs[:, :, ::-1, :]), [p.bwd for p in members])):
+        W, U, b = (np.stack([getattr(cell, name) for cell in cells]) for name in "WUb")
+        directions.append((X, U, _run_direction(X, W, U, b)))
+    hf, hb = (arrays[-1][:, -1] for _, _, arrays in directions)
     scores = np.empty(Xs.shape[:2])
     for m, p in enumerate(members):
         # two separate dot products so direction swap commutes bit-exactly
-        u = cf["Hs"][m, -1] @ p.head_w[:H] + cb["Hs"][m, -1] @ p.head_w[H:] + p.head_b[0]
+        u = hf[m] @ p.head_w[:H] + hb[m] @ p.head_w[H:] + p.head_b[0]
         scores[m] = np.clip(expit(u), _SCORE_LO, _SCORE_HI)
-    cache = {"Xs": Xs, "Xr": Xr, "members": members, "fwd": cf, "bwd": cb, "scores": scores}
-    return scores, cache
+    return scores, (hf, hb), directions
 
 
-def backward_stack(Xs: np.ndarray, labels: np.ndarray, members, w_pos: float, w_neg: float,
-                   cache: dict):
-    """Per-model sum-over-batch weighted MSE and its exact gradients.
+def score(X: np.ndarray, p: ModelParams) -> np.ndarray:
+    """The scores of p on a batch X of shape (B, T, n_in)."""
+    return _forward(np.asarray(X)[None], [p])[0][0]
 
-    The cache must come from forward_stack on the same Xs and members;
-    labels has shape (M, B). Returns (losses, grads), one loss and one
-    ModelParams of d loss / d parameter per model, in member order.
+
+def loss_and_grads(Xs: np.ndarray, labels: np.ndarray, members, w_pos: float):
+    """Per-model sum-over-batch weighted MSE and its exact gradients, M models in one pass.
+
+    Batch m of Xs (M, B, T, n_in) goes through members[m] against row m of
+    labels (M, B); a negative weighs 1. Returns (losses, grads): one
+    weighted_mse and one ModelParams of d loss / d parameter per model, in
+    member order, each bit-identical to a call with that model alone.
     """
-    if cache.get("Xs") is not Xs or cache.get("members") is not members:
-        raise IntegrityError("cache does not belong to these inputs")
+    scores, (hf, hb), (fwd, bwd) = _forward(Xs, members)
     labels = np.asarray(labels, dtype=float)
-    if labels.shape != Xs.shape[:2]:
-        raise IntegrityError(f"labels have shape {labels.shape}, want {Xs.shape[:2]}")
+    if labels.shape != scores.shape:
+        raise IntegrityError(f"labels have shape {labels.shape}, want {scores.shape}")
     H = members[0].hidden_size
-    cf, cb = cache["fwd"], cache["bwd"]
     losses, heads = [], []
-    dhf = np.empty((len(members), Xs.shape[1], H))
-    dhb = np.empty(dhf.shape)
+    dhf, dhb = np.empty(hf.shape), np.empty(hb.shape)
     for m, p in enumerate(members):
-        s = cache["scores"][m]
-        w = np.where(labels[m] == 1.0, float(w_pos), float(w_neg))
+        s = scores[m]
+        losses.append(weighted_mse(s, labels[m], w_pos, 1.0))
+        w = np.where(labels[m] == 1.0, float(w_pos), 1.0)
         r = s - labels[m]
-        losses.append(math.fsum(w * r * r))
         du = 2.0 * w * r * s * (1.0 - s)  # d loss / d pre-squash head activation
-        hf, hb = cf["Hs"][m, -1], cb["Hs"][m, -1]
-        heads.append((np.concatenate([hf.T @ du, hb.T @ du]), np.array([du.sum()])))
+        heads.append((np.concatenate([hf[m].T @ du, hb[m].T @ du]), np.array([du.sum()])))
         dhf[m] = du[:, None] * p.head_w[None, :H]
         dhb[m] = du[:, None] * p.head_w[None, H:]
-    fwd = _direction_backward(Xs, *_stacked(members, "fwd", "U"), cf, dhf)
-    bwd = _direction_backward(cache["Xr"], *_stacked(members, "bwd", "U"), cb, dhb)
-    grads = [ModelParams(CellParams(*f), CellParams(*b), *head)
-             for f, b, head in zip(fwd, bwd, heads)]
-    return losses, grads
-
-
-def forward_batch(X: np.ndarray, p: ModelParams):
-    """Score a batch: forward_stack with one model. X has shape (B, T, n_in).
-
-    Returns (scores (B,), cache).
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 3 or X.shape[2] != N_INPUTS:
-        raise IntegrityError(f"batch has shape {X.shape}, want (B, T, {N_INPUTS})")
-    scores, cache = forward_stack(X[None], [p])
-    return scores[0], {**cache, "X": X, "params": p}
-
-
-def backward_batch(X: np.ndarray, labels: np.ndarray, p: ModelParams,
-                   w_pos: float, w_neg: float, cache: dict):
-    """Sum-over-batch weighted MSE and its exact gradients: backward_stack with one model.
-
-    The cache must come from forward_batch on the same X and p. Returns
-    (loss, grads); grads is a ModelParams of d loss / d parameter.
-    """
-    if cache.get("X") is not X or cache.get("params") is not p:
-        raise IntegrityError("cache does not belong to these inputs")
-    labels = np.asarray(labels, dtype=float)
-    losses, grads = backward_stack(cache["Xs"], labels[None], cache["members"],
-                                   w_pos, w_neg, cache)
-    return losses[0], grads[0]
+    grads = zip(_direction_backward(*fwd, dhf), _direction_backward(*bwd, dhb), heads)
+    return losses, [ModelParams(CellParams(*f), CellParams(*b), *head) for f, b, head in grads]
 
 
 def weighted_mse(scores, labels, w_pos: float, w_neg: float) -> float:
     """Class-weighted sum of squared errors: sum_i w_{y_i} (s_i - y_i)^2.
 
     Computed with exactly-rounded summation so batch loss equals the sum of
-    per-example losses bit for bit.
+    per-example losses bit for bit; a sum past the float range is inf.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -315,7 +284,10 @@ def weighted_mse(scores, labels, w_pos: float, w_neg: float) -> float:
         raise IntegrityError("class weights must be positive")
     w = np.where(labels == 1.0, float(w_pos), float(w_neg))
     r = scores - labels
-    return math.fsum(w * r * r)
+    try:
+        return math.fsum(w * r * r)
+    except OverflowError:  # the exact sum of these non-negative terms is past the float range
+        return math.inf
 
 
 def save_params(p: ModelParams, path):
@@ -359,3 +331,7 @@ def load_params(path) -> ModelParams:
             arrays.append(values.reshape(shape))
         reader.finish("the last block")
     return ModelParams(CellParams(*arrays[:3]), CellParams(*arrays[3:6]), *arrays[6:])
+
+
+__all__ = ["N_INPUTS", "CHECKPOINT_MAGIC", "CellParams", "ModelParams", "init_params", "score",
+           "loss_and_grads", "weighted_mse", "save_params", "load_params"]

@@ -11,13 +11,14 @@ seed + f, and each fold's generator drives both its parameter init and
 its per-epoch shuffles.
 
 The folds of a cell train in lockstep: at each batch offset, the folds
-whose batch has the same size share one stacked forward and backward pass
-(lstm.forward_stack), while each keeps its own generator, updates,
-validation and stopping rules. Every fold model is bit-identical to
-training that fold alone, as train_one does. Stacking pays only while the
-per-call numpy overhead dominates, so it stops at LOCKSTEP_MAX_HIDDEN
-hidden units; above that the folds train one at a time. With several
-worker processes, each takes a contiguous group of folds.
+whose batch has the same size share one lstm.loss_and_grads call, its
+stacked forward and backward pass, while each keeps its own generator,
+updates, validation and stopping rules; validation and the ensemble score
+through lstm.score. Every fold model is bit-identical to training that
+fold alone, as train_one does. Stacking pays only while the per-call numpy
+overhead dominates, so it stops at LOCKSTEP_MAX_HIDDEN hidden units; above
+that the folds train one at a time. With several worker processes, each
+takes a contiguous group of folds.
 """
 
 import math
@@ -62,7 +63,7 @@ class HyperParams:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.w_pos <= 0:
+        if not self.w_pos > 0:
             raise ConfigError(f"w_pos must be > 0, got {self.w_pos}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -151,8 +152,7 @@ def make_folds(ids: Sequence[str], labels: Sequence[int], k: int = 10, seed: int
 def _score_matrix(params: lstm.ModelParams, X: np.ndarray, chunk: int = 256) -> np.ndarray:
     scores = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], chunk):
-        piece = np.ascontiguousarray(X[lo:lo + chunk])
-        scores[lo:lo + chunk], _ = lstm.forward_batch(piece, params)
+        scores[lo:lo + chunk] = lstm.score(X[lo:lo + chunk], params)
     return scores
 
 
@@ -216,13 +216,13 @@ def _train_lockstep(tensors: Sequence[SampleTensor], splits, hyper: HyperParams,
     """Train one model per (train rows, val rows, seed) split of tensors, all in lockstep.
 
     Each split keeps train_one's rules and its own generator; at every batch
-    offset the splits whose batch has the same size share one forward_stack
-    and backward_stack, so each model is bit-identical to training its split
-    alone. Returns one TrainResult per split, in order, as training them one
-    after another would: a split that fails (a divergence, or an error from
-    its validation scoring) ends the list with its exception, and the splits
-    after it are dropped. A split that cannot train (an empty side, or no
-    positive to validate on) raises its ConfigError before any split trains.
+    offset the splits whose batch has the same size share one loss_and_grads
+    call, so each model is bit-identical to training its split alone. Returns
+    one TrainResult per split, in order, as training them one after another
+    would: a split that fails (a divergence, or an error from its validation
+    scoring) ends the list with its exception, and the splits after it are
+    dropped. A split that cannot train (an empty side, or no positive to
+    validate on) raises its ConfigError before any split trains.
     """
     hyper.validate()
     labels = np.array([t.label for t in tensors], dtype=int)
@@ -242,10 +242,8 @@ def _train_lockstep(tensors: Sequence[SampleTensor], splits, hyper: HyperParams,
                 for size in sorted(sizes, reverse=True):
                     group = [f for f in live if min(hyper.batch_size, f.order.size - lo) == size]
                     idx = np.stack([f.order[lo:lo + size] for f in group])
-                    Xs = X[idx]
-                    members = [f.params for f in group]
-                    _, cache = lstm.forward_stack(Xs, members)
-                    losses, grads = lstm.backward_stack(Xs, y[idx], members, hyper.w_pos, 1.0, cache)
+                    losses, grads = lstm.loss_and_grads(X[idx], y[idx], [f.params for f in group],
+                                                        hyper.w_pos)
                     for fold, loss_sum, g in zip(group, losses, grads):
                         try:
                             fold.step(g, loss_sum, size, epoch, hyper.learning_rate)

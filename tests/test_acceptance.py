@@ -49,10 +49,9 @@ def test_c01_gradients_match_finite_differences():
             arr += rng.normal(0.0, 0.2, size=arr.shape)
         X = rng.normal(0.0, 0.6, size=(72, 9))
         label = int(rng.integers(0, 2))
-        scores, cache = lstm.forward_batch(X[None], params)
-        assert abs(float(scores[0]) - float(oracles.forward_ld(X, params))) < 1e-12
-        _, grads = lstm.backward_batch(cache["X"], np.array([float(label)]), params,
-                                       8.0, 1.0, cache)
+        score = lstm.score(X[None], params)[0]
+        assert abs(float(score) - float(oracles.forward_ld(X, params))) < 1e-12
+        _, (grads,) = lstm.loss_and_grads(X[None, None], np.array([[float(label)]]), [params], 8.0)
         worst = max(worst, oracles.fd_gradient_worst_error(
             params, X, label, grads, w_pos=8.0, w_neg=1.0, eps=1e-5))
     elapsed = time.perf_counter() - start

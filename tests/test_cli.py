@@ -281,6 +281,15 @@ def test_train_weight_overflow_exits_5(workspace, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_train_loss_past_the_float_range_exits_5(workspace, tmp_path):
+    # the exact sum of the batch's weighted squared errors overflows
+    proc = run_cli("train", "--tensors", workspace["root"] / "prep", "--run-dir", tmp_path,
+                   "--w-pos", "1.7e308", "--folds", 2, "--max-epochs", 2)
+    assert proc.returncode == 5 and proc.stdout == "", proc.stderr
+    assert re.fullmatch(r"error: training diverged: [^\n]*\(cell hidden=10 lr=0\.01, fold 0\)\n",
+                        proc.stderr), proc.stderr
+
+
 def test_divergence_stderr_is_one_line(workspace, tmp_path):
     # a fresh interpreter, so numpy warnings would reach stderr as they do for a user
     errs = []
@@ -682,6 +691,7 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
                           (pipeline + TINY_TRAIN + ["--jobs", "0"], "jobs"),
                           (train + TINY_TRAIN + ["--jobs", "-1"], "jobs"),
                           (train + ["--seed", "-1"], "seed"),
+                          (train + ["--w-pos", "nan"], "w_pos must be > 0, got nan"),
                           (preprocess + ["--seed", "-2000000"], "seed"),
                           (evaluate + ["--seed", "-2000004"], "seed"),
                           (pipeline + TINY_TRAIN + ["--grid", "--grid-lr", ","], "--grid-lr"),

@@ -9,7 +9,8 @@ def test_every_exported_name_resolves():
     modules = [hemocult] + [importlib.import_module(f"hemocult.{info.name}")
                             for info in pkgutil.iter_modules(hemocult.__path__)]
     listed = [m for m in modules if hasattr(m, "__all__")]
-    assert {m.__name__ for m in listed} >= {"hemocult.cohort", "hemocult.prep", "hemocult.training"}
+    assert {m.__name__ for m in listed} >= {"hemocult.cohort", "hemocult.lstm", "hemocult.prep",
+                                               "hemocult.training"}
     for module in listed:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)

@@ -8,9 +8,8 @@ from scipy.special import expit
 
 import oracles
 from hemocult.errors import IntegrityError
-from hemocult.lstm import (CellParams, ModelParams, _layout, backward_batch,
-                           backward_stack, forward_batch, forward_stack,
-                           init_params, load_params, save_params, weighted_mse)
+from hemocult.lstm import (CellParams, ModelParams, _layout, _run_direction, init_params,
+                           load_params, loss_and_grads, save_params, score, weighted_mse)
 
 
 def zero_cell(H, n_in=9):
@@ -33,12 +32,17 @@ def flat_grad_norm(grads):
     return math.sqrt(sum(float((arr * arr).sum()) for _, arr in grads.named_arrays()))
 
 
-def first_step(fwd_cell):
-    """(h, c) after one step of the forward direction from the zero state."""
-    p = ModelParams(fwd_cell, zero_cell(fwd_cell.hidden), np.zeros(2 * fwd_cell.hidden),
-                    np.zeros(1))
-    _, cache = forward_batch(np.zeros((1, 1, 9)), p)
-    return cache["fwd"]["Hs"][0, 1, 0], cache["fwd"]["C"][0, 0, 0]  # model 0, its step, row 0
+def one_model(X, y, p, w_pos=8.0):
+    """(loss, grads) of p on the (B, T, 9) batch X: loss_and_grads with one model."""
+    (loss,), (grads,) = loss_and_grads(X[None], np.asarray(y, dtype=float)[None], [p], w_pos)
+    return loss, grads
+
+
+def first_step(cell):
+    """(h, c) after one step of a direction from the zero state."""
+    _, C, _, Hs = _run_direction(np.zeros((1, 1, 1, 9)), cell.W[None], cell.U[None],
+                                 cell.b[None])
+    return Hs[0, 1, 0], C[0, 0, 0]  # model 0, its step, row 0
 
 
 def test_first_step_zero_fixed_point():
@@ -63,17 +67,15 @@ def test_first_step_saturated_gates():
 def test_forward_zero_params_scores_half():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(1, 72, 9))
-    scores, _ = forward_batch(X, zero_model(3))
-    assert scores[0] == 0.5
+    assert score(X, zero_model(3))[0] == 0.5
 
 
 def test_forward_head_bias_only():
     p = zero_model(2)
     p.head_b[0] = 10.0
-    scores, _ = forward_batch(np.zeros((1, 72, 9)), p)
-    score = float(scores[0])
-    assert score == float(expit(10.0))
-    assert score == pytest.approx(0.99995, abs=1e-4)
+    s = float(score(np.zeros((1, 72, 9)), p)[0])
+    assert s == float(expit(10.0))
+    assert s == pytest.approx(0.99995, abs=1e-4)
 
 
 def test_forward_direction_swap_is_bit_exact():
@@ -85,9 +87,7 @@ def test_forward_direction_swap_is_bit_exact():
             head_w=np.concatenate([p.head_w[4:], p.head_w[:4]]),
             head_b=p.head_b.copy(),
         )
-        s1, _ = forward_batch(X, p)
-        s2, _ = forward_batch(X[:, ::-1].copy(), swapped)
-        assert s1[0] == s2[0]
+        assert score(X, p)[0] == score(X[:, ::-1].copy(), swapped)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,24 +96,22 @@ def test_forward_score_strictly_inside_unit_interval(seed, bias):
     rng = np.random.default_rng(seed)
     p = init_params(2, rng)
     p.head_b[0] = bias
-    scores, _ = forward_batch(rng.normal(size=(1, 72, 9)), p)
-    assert 0.0 < scores[0] < 1.0
+    assert 0.0 < score(rng.normal(size=(1, 72, 9)), p)[0] < 1.0
 
 
 def test_forward_batch_matches_per_example():
     p, rng = noisy_params(3, 11)
     X = rng.normal(size=(6, 72, 9))
-    batch_scores, _ = forward_batch(X, p)
-    singles = np.array([forward_batch(X[i:i + 1], p)[0][0] for i in range(6)])
-    np.testing.assert_allclose(batch_scores, singles, rtol=0.0, atol=1e-10)
+    singles = np.array([score(X[i:i + 1], p)[0] for i in range(6)])
+    np.testing.assert_allclose(score(X, p), singles, rtol=0.0, atol=1e-10)
 
 
 def test_forward_batch_shape_error():
     p = zero_model(2)
     with pytest.raises(IntegrityError, match=r"batch has shape \(3, 72, 8\)"):
-        forward_batch(np.zeros((3, 72, 8)), p)
+        score(np.zeros((3, 72, 8)), p)
     with pytest.raises(IntegrityError, match=r"batch has shape \(72, 9\)"):
-        forward_batch(np.zeros((72, 9)), p)
+        score(np.zeros((72, 9)), p)
 
 
 def test_weighted_mse_spot_values():
@@ -135,6 +133,10 @@ def test_weighted_mse_validation():
         weighted_mse([0.5], [1], 8.0, -2.0)
 
 
+def test_weighted_mse_past_the_float_range_is_inf():
+    assert weighted_mse([0.0, 0.0], [1, 1], 1.7e308, 1.0) == math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_weighted_mse_batch_equals_sum_of_examples(seed):
@@ -151,18 +153,16 @@ def test_backward_loss_equals_weighted_mse():
     p, rng = noisy_params(3, 5)
     X = rng.normal(size=(8, 72, 9))
     y = rng.integers(0, 2, size=8).astype(float)
-    scores, cache = forward_batch(X, p)
-    loss, _ = backward_batch(X, y, p, 8.0, 1.0, cache)
-    assert loss == weighted_mse(scores, y, 8.0, 1.0)
+    loss, _ = one_model(X, y, p)
+    assert loss == weighted_mse(score(X, p), y, 8.0, 1.0)
 
 
 def test_backward_saturated_target_gradients_vanish():
     p = zero_model(2)
     p.head_b[0] = 50.0  # score pinned against 1 from below
     X = np.random.default_rng(3).normal(size=(1, 72, 9))
-    scores, cache = forward_batch(X, p)
-    assert 0.0 < scores[0] < 1.0
-    _, grads = backward_batch(X, np.array([1.0]), p, 8.0, 1.0, cache)
+    assert 0.0 < score(X, p)[0] < 1.0
+    _, grads = one_model(X, [1.0], p)
     worst = max(float(np.abs(arr).max()) for _, arr in grads.named_arrays())
     assert worst <= 1e-8
 
@@ -171,32 +171,18 @@ def test_backward_head_bias_gradient_by_hand():
     # zero params, y=1, w_pos=8: d loss / d head bias = 2*8*(0.5-1)*0.25
     p = zero_model(2)
     X = np.random.default_rng(4).normal(size=(1, 72, 9))
-    _, cache = forward_batch(X, p)
-    _, grads = backward_batch(X, np.array([1.0]), p, 8.0, 1.0, cache)
+    _, grads = one_model(X, [1.0], p)
     assert grads.head_b[0] == -2.0
-
-
-def test_backward_rejects_stale_cache():
-    p, rng = noisy_params(2, 9)
-    X1 = rng.normal(size=(72, 9))
-    X2 = rng.normal(size=(72, 9))
-    B1 = X1[None, :, :]
-    _, bcache = forward_batch(B1, p)
-    with pytest.raises(IntegrityError, match="cache does not belong to these inputs"):
-        backward_batch(X2[None, :, :], np.array([1.0]), p, 8.0, 1.0, bcache)
 
 
 def test_backward_batch_gradient_is_sum_over_examples():
     p, rng = noisy_params(2, 21)
     X = rng.normal(size=(4, 72, 9))
     y = np.array([1.0, 0.0, 0.0, 1.0])
-    _, cache = forward_batch(X, p)
-    _, grads = backward_batch(X, y, p, 8.0, 1.0, cache)
+    _, grads = one_model(X, y, p)
     total = [np.zeros_like(arr) for _, arr in p.named_arrays()]
     for i in range(4):
-        xi = X[i:i + 1]
-        _, ci = forward_batch(xi, p)
-        _, gi = backward_batch(xi, y[i:i + 1], p, 8.0, 1.0, ci)
+        _, gi = one_model(X[i:i + 1], y[i:i + 1], p)
         for acc, (_, piece) in zip(total, gi.named_arrays()):
             acc += piece
     for (_, a), b in zip(grads.named_arrays(), total):
@@ -209,20 +195,16 @@ def test_stacked_models_equal_single_model_calls(H):
     rng = np.random.default_rng(H)
     Xs = rng.normal(size=(3, 5, 72, 9))
     labels = (rng.random((3, 5)) < 0.4).astype(float)
-    scores, cache = forward_stack(Xs, members)
-    losses, grads = backward_stack(Xs, labels, members, 8.0, 1.0, cache)
+    losses, grads = loss_and_grads(Xs, labels, members, 8.0)
     for m, p in enumerate(members):
-        X = Xs[m].copy()
-        alone, alone_cache = forward_batch(X, p)
-        loss, alone_grads = backward_batch(X, labels[m], p, 8.0, 1.0, alone_cache)
-        assert np.array_equal(scores[m], alone)
+        loss, alone_grads = one_model(Xs[m].copy(), labels[m], p)
         assert losses[m] == loss
         for (name, a), (_, b) in zip(grads[m].named_arrays(), alone_grads.named_arrays()):
             assert np.array_equal(a, b), (m, name)
     with pytest.raises(IntegrityError, match="stacked models differ in hidden size"):
-        forward_stack(Xs, members[:2] + [noisy_params(H + 1, 0)[0]])
-    with pytest.raises(IntegrityError, match="cache does not belong to these inputs"):
-        backward_stack(Xs, labels, list(members), 8.0, 1.0, cache)
+        loss_and_grads(Xs, labels, members[:2] + [noisy_params(H + 1, 0)[0]], 8.0)
+    with pytest.raises(IntegrityError, match=r"labels have shape \(2, 5\), want \(3, 5\)"):
+        loss_and_grads(Xs, labels[:2], members, 8.0)
 
 
 def test_gradients_match_finite_differences_spot():
@@ -231,17 +213,15 @@ def test_gradients_match_finite_differences_spot():
         X = rng.normal(size=(72, 9))
         label = int(rng.integers(0, 2))
         Xb = X[None, :, :]
-        scores, cache = forward_batch(Xb, p)
-        _, grads = backward_batch(Xb, np.array([float(label)]), p, 8.0, 1.0, cache)
-        assert abs(float(oracles.forward_ld(X, p)) - float(scores[0])) < 1e-12
+        _, grads = one_model(Xb, [float(label)], p)
+        assert abs(float(oracles.forward_ld(X, p)) - float(score(Xb, p)[0])) < 1e-12
         assert oracles.fd_gradient_worst_error(p, X, label, grads) < 1e-6
 
 
 def test_fd_oracle_rejects_nan_gradient():
     p, rng = noisy_params(1, 101)
     X = rng.normal(size=(72, 9))
-    _, cache = forward_batch(X[None, :, :], p)
-    _, grads = backward_batch(cache["X"], np.array([1.0]), p, 8.0, 1.0, cache)
+    _, grads = one_model(X[None, :, :], [1.0], p)
     assert oracles.fd_gradient_worst_error(p, X, 1, grads) < 1e-6
     grads.fwd.U[0, 0] = np.nan
     assert not oracles.fd_gradient_worst_error(p, X, 1, grads) < 1e-6

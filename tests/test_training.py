@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -139,8 +140,7 @@ def test_train_one_reduces_training_loss():
     losses = []
 
     def metric(params, epoch):
-        scores, _ = lstm.forward_batch(X, params)
-        losses.append(lstm.weighted_mse(scores, y, 8.0, 1.0) / len(tensors))
+        losses.append(lstm.weighted_mse(lstm.score(X, params), y, 8.0, 1.0) / len(tensors))
         return 0.5
 
     hyper = HyperParams(hidden_size=10, learning_rate=0.01, max_epochs=6,
@@ -149,6 +149,19 @@ def test_train_one_reduces_training_loss():
     assert len(losses) == 6
     assert losses[5] < losses[0]
     assert result.history == [0.5] * 6
+
+
+def test_training_holds_one_steps_caches_at_a_time():
+    B, T, H = 32, 72, 100
+    one_step = 2 * 8 * (T * B * 4 * H + 2 * T * B * H + (T + 1) * B * H)  # A, C and TC, Hs
+    hyper = HyperParams(hidden_size=H, max_epochs=2, batch_size=B, seed=0)
+    tracemalloc.start()
+    try:
+        train_one(make_tensors(96, 16), [], hyper, val_metric=lambda params, epoch: 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * one_step, peak / one_step
 
 
 def test_train_one_returns_best_epoch_snapshot():
@@ -485,12 +498,10 @@ def test_class_weights_balance_one_to_eight_imbalance():
     base = rng.normal(size=(72, 9))
     X = np.repeat(base[None], 9, axis=0)
     y = np.array([1.0] + [0.0] * 8)
-    _, cache = lstm.forward_batch(X, params)
-    _, grads = lstm.backward_batch(X, y, params, 8.0, 1.0, cache)
+    _, (grads,) = lstm.loss_and_grads(X[None], y[None], [params], 8.0)
     for _, g in grads.named_arrays():
         assert np.all(np.abs(g) < 1e-12)  # one positive offsets eight negatives
-    _, cache = lstm.forward_batch(X, params)
-    _, unweighted = lstm.backward_batch(X, y, params, 1.0, 1.0, cache)
+    _, (unweighted,) = lstm.loss_and_grads(X[None], y[None], [params], 1.0)
     norms = [np.abs(g).max() for _, g in unweighted.named_arrays()]
     assert max(norms) > 1e-6
 
@@ -499,7 +510,7 @@ def test_hyperparams_validation():
     HyperParams().validate()
     bad = [dict(hidden_size=0), dict(learning_rate=0.0), dict(learning_rate=-1.0),
            dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
-           dict(max_epochs=0), dict(w_pos=0.0),
+           dict(max_epochs=0), dict(w_pos=0.0), dict(w_pos=float("nan")),
            dict(batch_size=0), dict(patience=0)]
     for overrides in bad:
         with pytest.raises(ConfigError):
