@@ -211,13 +211,13 @@ def _write_cv_table(run_dir: Path, rows):
 def _train(prep_dir: Path, run_dir: Path, args, cells) -> str:
     """Train every cell's folds once; the winning cell's fold models are the ensemble."""
     train_tensors = _load_partitioned_tensors(prep_dir)["train"]
-    run_dir.mkdir(parents=True, exist_ok=True)
     ids = [t.admission_id for t in train_tensors]
     labels = [t.label for t in train_tensors]
     plan = make_folds(ids, labels, k=args.folds, seed=args.seed + FOLDS_SEED_OFFSET)
     result = grid_search(train_tensors, plan, cells, jobs=args.jobs)
     best = result.best
-    # an earlier run's checkpoints go only now, so a run that diverges leaves them intact
+    # only now, so a run that diverges makes no run dir and leaves an earlier run intact
+    run_dir.mkdir(parents=True, exist_ok=True)
     for stale in run_dir.glob("ensemble_fold*.ckpt"):
         stale.unlink()
     _write_run_config(run_dir, prep_dir, args, cells, best)

@@ -42,8 +42,7 @@ from scipy.special import expit
 
 from .blocks import F64, U32, BlockReader
 from .errors import IntegrityError
-
-N_INPUTS = 9
+from .variables import N_VARIABLES
 
 # scores stay strictly inside (0, 1) even when the logistic saturates
 _SCORE_LO = float(np.nextafter(0.0, 1.0))
@@ -57,7 +56,7 @@ _BLOCK_NAMES = ("fwd_W", "fwd_U", "fwd_b", "bwd_W", "bwd_U", "bwd_b", "head_w", 
 
 def _layout(H: int):
     """(name, shape) of the eight blocks in checkpoint order, for hidden size H."""
-    cell = ((4 * H, N_INPUTS), (4 * H, H), (4 * H,))
+    cell = ((4 * H, N_VARIABLES), (4 * H, H), (4 * H,))
     return tuple(zip(_BLOCK_NAMES, cell + cell + ((2 * H,), (1,))))
 
 
@@ -65,7 +64,7 @@ def _layout(H: int):
 class CellParams:
     """One direction's weights: gates stacked along the leading 4H axis."""
 
-    W: np.ndarray  # (4H, N_INPUTS)
+    W: np.ndarray  # (4H, N_VARIABLES)
     U: np.ndarray  # (4H, H)
     b: np.ndarray  # (4H,)
 
@@ -121,7 +120,7 @@ def init_params(hidden_size: int, seed) -> ModelParams:
     scale = 1.0 / np.sqrt(H)
 
     def cell():
-        W = rng.uniform(-scale, scale, size=(4 * H, N_INPUTS))
+        W = rng.uniform(-scale, scale, size=(4 * H, N_VARIABLES))
         U = rng.uniform(-scale, scale, size=(4 * H, H))
         b = np.zeros(4 * H)
         b[H:2 * H] = 1.0
@@ -217,9 +216,9 @@ def _forward(Xs, members):
     for p in members:
         p.validate()
     Xs = np.asarray(Xs, dtype=float)
-    if Xs.ndim != 4 or len(Xs) != len(members) or Xs.shape[3] != N_INPUTS:
+    if Xs.ndim != 4 or len(Xs) != len(members) or Xs.shape[3] != N_VARIABLES:
         raise IntegrityError(f"batch has shape {Xs.shape[1:]} in a stack of shape {Xs.shape}, "
-                             f"want ({len(members)}, B, T, {N_INPUTS})")
+                             f"want ({len(members)}, B, T, {N_VARIABLES})")
     H = members[0].hidden_size
     if any(p.hidden_size != H for p in members):
         raise IntegrityError("stacked models differ in hidden size")
@@ -333,5 +332,5 @@ def load_params(path) -> ModelParams:
     return ModelParams(CellParams(*arrays[:3]), CellParams(*arrays[3:6]), *arrays[6:])
 
 
-__all__ = ["N_INPUTS", "CHECKPOINT_MAGIC", "CellParams", "ModelParams", "init_params", "score",
+__all__ = ["CHECKPOINT_MAGIC", "CellParams", "ModelParams", "init_params", "score",
            "loss_and_grads", "weighted_mse", "save_params", "load_params"]

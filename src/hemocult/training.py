@@ -19,6 +19,10 @@ fold alone, as train_one does. Stacking pays only while the per-call numpy
 overhead dominates, so it stops at LOCKSTEP_MAX_HIDDEN hidden units; above
 that the folds train one at a time. With several worker processes, each
 takes a contiguous group of folds.
+
+A failed fold's error is raised: a divergence, which names its cell and
+fold, or an error from its validation scoring. If several folds fail, the
+lowest fold's error is raised, whatever the number of worker processes.
 """
 
 import math
@@ -44,6 +48,7 @@ EARLY_STOP_THRESHOLD = 0.90
 # fold holds its own BPTT caches (its gate activations alone take about 74 MB
 # per direction at H=1000).
 LOCKSTEP_MAX_HIDDEN = 16
+SCORE_CHUNK = 256  # rows per lstm.score call in validation and ensemble scoring
 
 
 @dataclass
@@ -149,25 +154,40 @@ def make_folds(ids: Sequence[str], labels: Sequence[int], k: int = 10, seed: int
     return FoldPlan(folds=folds)
 
 
-def _score_matrix(params: lstm.ModelParams, X: np.ndarray, chunk: int = 256) -> np.ndarray:
+def _score_matrix(params: lstm.ModelParams, X: np.ndarray) -> np.ndarray:
     scores = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        scores[lo:lo + chunk] = lstm.score(X[lo:lo + chunk], params)
+    for lo in range(0, X.shape[0], SCORE_CHUNK):
+        scores[lo:lo + SCORE_CHUNK] = lstm.score(X[lo:lo + SCORE_CHUNK], params)
     return scores
 
 
-class _Fold:
-    """One split's model, generator and early-stopping state in the lockstep trainer."""
+def _stacked(tensors: Sequence[SampleTensor]):
+    """The (N, T, n_in) values and the float labels of tensors."""
+    X = np.stack([t.values for t in tensors]) if len(tensors) else None
+    return X, np.array([t.label for t in tensors], dtype=float)
 
-    def __init__(self, labels: np.ndarray, train_rows, val_rows, hyper: HyperParams, val_metric):
+
+def _val_pr_auc(X: np.ndarray, y: np.ndarray, val_rows):
+    """The validation metric (params, epoch) -> PR AUC of params' scores on rows val_rows."""
+    val_rows = np.asarray(val_rows)
+    if not len(val_rows):
+        raise ConfigError("empty validation set")
+    if y[val_rows].sum() == 0:
+        raise ConfigError("validation set has no positive example")
+    return lambda params, epoch: pr_auc(_score_matrix(params, X[val_rows]), y[val_rows])
+
+
+class _Fold:
+    """One fold's model, generator, val_metric(params, epoch) and early-stopping state in the
+    lockstep trainer; its cell and fold number (None in train_one) name a divergence."""
+
+    def __init__(self, train_rows, hyper: HyperParams, val_metric, fold=None):
+        hyper.validate()
         if not len(train_rows):
             raise ConfigError("empty training set")
-        if val_metric is None:
-            if not len(val_rows):
-                raise ConfigError("empty validation set")
-            if labels[val_rows].sum() == 0:
-                raise ConfigError("validation set has no positive example")
-        self.train_rows, self.val_rows = np.asarray(train_rows), np.asarray(val_rows)
+        self.train_rows = np.asarray(train_rows)
+        self.val_metric, self.fold = val_metric, fold
+        self.cell = (hyper.hidden_size, hyper.learning_rate)
         self.rng = np.random.default_rng(hyper.seed)
         self.params = lstm.init_params(hyper.hidden_size, self.rng)
         self.history: List[float] = []
@@ -182,12 +202,12 @@ class _Fold:
         """One gradient descent update from a batch of `size` examples."""
         batch_loss = loss_sum / size
         if not np.isfinite(batch_loss):
-            raise TrainingDivergence(epoch, batch_loss)
+            raise TrainingDivergence(epoch, batch_loss, self.cell, self.fold)
         step = learning_rate / size
         for (name, arr), (_, g) in zip(self.params.named_arrays(), grads.named_arrays()):
             arr -= step * g
             if not np.isfinite(arr).all():
-                raise TrainingDivergence(epoch, batch_loss, block=name)
+                raise TrainingDivergence(epoch, batch_loss, self.cell, self.fold, name)
 
     def end_epoch(self, metric: float, epoch: int, patience: int) -> bool:
         """Record the epoch's validation metric; True once a stopping rule fires."""
@@ -211,25 +231,16 @@ def _before_failure(folds):
     return folds
 
 
-def _train_lockstep(tensors: Sequence[SampleTensor], splits, hyper: HyperParams,
-                    val_metric=None) -> list:
-    """Train one model per (train rows, val rows, seed) split of tensors, all in lockstep.
+def _train_lockstep(X: np.ndarray, y: np.ndarray, folds: List[_Fold],
+                    hyper: HyperParams) -> List[TrainResult]:
+    """Train the folds on their rows of (X, y) in lockstep; one TrainResult per fold, in order.
 
-    Each split keeps train_one's rules and its own generator; at every batch
-    offset the splits whose batch has the same size share one loss_and_grads
-    call, so each model is bit-identical to training its split alone. Returns
-    one TrainResult per split, in order, as training them one after another
-    would: a split that fails (a divergence, or an error from its validation
-    scoring) ends the list with its exception, and the splits after it are
-    dropped. A split that cannot train (an empty side, or no positive to
-    validate on) raises its ConfigError before any split trains.
+    Each fold keeps its own generator; at every batch offset the folds whose
+    batch has the same size share one loss_and_grads call, so each model is
+    bit-identical to training its fold alone. A failed fold stops the folds
+    after it too, and the lowest failed fold's error is raised, as training
+    the folds one after another would raise it.
     """
-    hyper.validate()
-    labels = np.array([t.label for t in tensors], dtype=int)
-    X = np.stack([t.values for t in tensors]) if len(tensors) else None
-    y = labels.astype(float)
-    folds = [_Fold(labels, train_rows, val_rows, replace(hyper, seed=seed), val_metric)
-             for train_rows, val_rows, seed in splits]
     live = folds
     # a non-finite loss or weight is refused below; numpy's overflow warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,25 +263,19 @@ def _train_lockstep(tensors: Sequence[SampleTensor], splits, hyper: HyperParams,
                     live = _before_failure(live)
             for fold in live:
                 try:
-                    if val_metric is not None:
-                        metric = float(val_metric(fold.params, epoch))
-                    else:
-                        metric = pr_auc(_score_matrix(fold.params, X[fold.val_rows]),
-                                        labels[fold.val_rows])
-                except Exception as exc:  # raised by the caller if no earlier fold fails
+                    metric = float(fold.val_metric(fold.params, epoch))
+                except Exception as exc:  # raised below if no earlier fold fails
                     fold.failure = exc
                     continue
                 fold.stopped = fold.end_epoch(metric, epoch, hyper.patience)
             live = [f for f in _before_failure(live) if not f.stopped]
             if not live:
                 break
-    outcomes = []
     for fold in folds:
         if fold.failure is not None:
-            return outcomes + [fold.failure]
-        outcomes.append(TrainResult(params=fold.best_params, history=fold.history,
-                                    best_epoch=fold.best_epoch, best_val=fold.best_val))
-    return outcomes
+            raise fold.failure
+    return [TrainResult(params=f.best_params, history=f.history, best_epoch=f.best_epoch,
+                        best_val=f.best_val) for f in folds]
 
 
 def train_one(train_tensors: Sequence[SampleTensor], val_tensors: Sequence[SampleTensor],
@@ -283,23 +288,25 @@ def train_one(train_tensors: Sequence[SampleTensor], val_tensors: Sequence[Sampl
     1-based epoch) and returns the metric.
     """
     n = len(train_tensors)
-    split = (range(n), range(n, n + len(val_tensors)), hyper.seed)
-    (outcome,) = _train_lockstep([*train_tensors, *val_tensors], [split], hyper, val_metric)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    X, y = _stacked([*train_tensors, *val_tensors])
+    if val_metric is None:
+        val_metric = _val_pr_auc(X, y, range(n, len(y)))
+    (result,) = _train_lockstep(X, y, [_Fold(range(n), hyper, val_metric)], hyper)
+    return result
 
 
 def _train_group(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
-                 group) -> list:
+                 group) -> List[TrainResult]:
     """The lockstep trainer on the folds in group: fold f validates on partition f with seed+f."""
-    splits = []
-    for fold in group:
+    X, y = _stacked(tensors)
+    folds = []
+    for fold in map(int, group):
         val_ids = set(plan.folds[fold])
         in_val = [t.admission_id in val_ids for t in tensors]
-        splits.append(([i for i, v in enumerate(in_val) if not v],
-                       [i for i, v in enumerate(in_val) if v], hyper.seed + int(fold)))
-    return _train_lockstep(tensors, splits, hyper)
+        folds.append(_Fold([i for i, v in enumerate(in_val) if not v],
+                           replace(hyper, seed=hyper.seed + fold),
+                           _val_pr_auc(X, y, [i for i, v in enumerate(in_val) if v]), fold))
+    return _train_lockstep(X, y, folds, hyper)
 
 
 def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperParams,
@@ -310,7 +317,8 @@ def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
     train in lockstep: with jobs > 1, each of min(jobs, k) worker processes
     takes a contiguous group of folds. Above it, every fold trains on its
     own, in worker processes when jobs > 1. Results come back in fold order
-    either way, and a failure is raised for the lowest failed fold.
+    either way. The groups ascend and map re-raises a group's error in its
+    turn, so the lowest failed fold's error is raised whatever jobs is.
     """
     workers = min(jobs, plan.k)
     if hyper.hidden_size <= LOCKSTEP_MAX_HIDDEN:
@@ -318,17 +326,8 @@ def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
     else:
         groups = [[fold] for fold in range(plan.k)]
     task = partial(_train_group, tensors, plan, hyper)
-    results: List[TrainResult] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for outcome in chain.from_iterable((pool.map if pool else map)(task, groups)):
-            if isinstance(outcome, TrainingDivergence):
-                raise TrainingDivergence(outcome.epoch, outcome.loss,
-                                         (hyper.hidden_size, hyper.learning_rate),
-                                         len(results), outcome.block) from None
-            if isinstance(outcome, Exception):
-                raise outcome
-            results.append(outcome)
-    return results
+        return list(chain.from_iterable((pool.map if pool else map)(task, groups)))
 
 
 @dataclass
@@ -364,13 +363,13 @@ def grid_search(tensors: Sequence[SampleTensor], plan: FoldPlan, cells: Sequence
     return GridResult(best=best, cv_mean=-best_key[0], rows=rows, results=best_results)
 
 
-def ensemble_scores(members: Sequence[lstm.ModelParams], tensors: Sequence[SampleTensor],
-                    chunk: int = 256) -> np.ndarray:
+def ensemble_scores(members: Sequence[lstm.ModelParams],
+                    tensors: Sequence[SampleTensor]) -> np.ndarray:
     """Arithmetic mean of member scores, members in fixed fold order."""
     if not members:
         raise IntegrityError("ensemble has no members")
     X = np.stack([t.values for t in tensors])
-    stacked = np.stack([_score_matrix(m, X, chunk) for m in members])
+    stacked = np.stack([_score_matrix(m, X) for m in members])
     return stacked.mean(axis=0)
 
 

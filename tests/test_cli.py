@@ -271,23 +271,24 @@ def test_train_divergence_exits_5(workspace, tmp_path):
 
 def test_train_weight_overflow_exits_5(workspace, tmp_path):
     # the batch loss stays finite; the update that follows overflows the weights
-    code, _, err = run("train", "--tensors", workspace["root"] / "prep", "--run-dir", tmp_path,
-                       "--lr", "1e10", "--w-pos", "1e300", "--batch-size", 8, "--folds", 2,
-                       "--max-epochs", 3)
+    code, _, err = run("train", "--tensors", workspace["root"] / "prep",
+                       "--run-dir", tmp_path / "run", "--lr", "1e10", "--w-pos", "1e300",
+                       "--batch-size", 8, "--folds", 2, "--max-epochs", 3)
     assert code == 5, err
     assert re.fullmatch(r"error: training diverged: an update left a non-finite weight in block "
                         r"'\w+' \(batch loss [0-9.e+]+\) at epoch 1 "
                         r"\(cell hidden=10 lr=10000000000\.0, fold 0\)\n", err), err
-    assert not list(tmp_path.iterdir())
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_loss_past_the_float_range_exits_5(workspace, tmp_path):
     # the exact sum of the batch's weighted squared errors overflows
-    proc = run_cli("train", "--tensors", workspace["root"] / "prep", "--run-dir", tmp_path,
+    proc = run_cli("train", "--tensors", workspace["root"] / "prep", "--run-dir", tmp_path / "run",
                    "--w-pos", "1.7e308", "--folds", 2, "--max-epochs", 2)
     assert proc.returncode == 5 and proc.stdout == "", proc.stderr
     assert re.fullmatch(r"error: training diverged: [^\n]*\(cell hidden=10 lr=0\.01, fold 0\)\n",
                         proc.stderr), proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_divergence_stderr_is_one_line(workspace, tmp_path):

@@ -246,6 +246,7 @@ def test_infinite_class_weight_diverges():
     exc = info.value
     assert exc.epoch == 1
     assert np.isinf(exc.loss)
+    assert exc.cell == (2, 0.05) and exc.fold is None  # train_one names its cell, not a fold
     clone = pickle.loads(pickle.dumps(exc))
     assert clone.epoch == exc.epoch and np.isinf(clone.loss)
 
@@ -378,6 +379,17 @@ def test_train_folds_reports_the_lowest_divergent_fold(jobs):
     exc = info.value
     assert exc.fold == 1
     assert exc.block == "fwd_W" and exc.cell == (2, 0.05)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_train_folds_raises_a_lower_folds_scoring_error_over_later_divergences(jobs):
+    tensors = make_tensors(16, 8, seed=4)
+    plan = make_folds([t.admission_id for t in tensors], [t.label for t in tensors], k=3, seed=0)
+    # folds 1 and 2 train on this tensor and diverge; fold 0 scores it as NaN at epoch 1
+    poisoned = next(t for t in tensors if t.admission_id in set(plan.folds[0]))
+    poisoned.values[5, 0] = np.nan
+    with pytest.raises(IntegrityError, match="non-finite score"):
+        train_folds(tensors, plan, SMALL_HYPER, jobs=jobs)
 
 
 def test_grid_search_single_cell():
@@ -517,10 +529,11 @@ def test_hyperparams_validation():
             HyperParams(**overrides).validate()
 
 
-def test_ensemble_scores_chunking_is_stable():
+def test_ensemble_scores_chunking_is_stable(monkeypatch):
     params = lstm.init_params(3, np.random.default_rng(1))
     tensors = make_tensors(10, 3, seed=7)
     whole = ensemble_scores([params], tensors)
-    pieces = ensemble_scores([params], tensors, chunk=3)
+    monkeypatch.setattr(training, "SCORE_CHUNK", 3)
+    pieces = ensemble_scores([params], tensors)
     assert whole.shape == (10,)
     assert np.allclose(whole, pieces, rtol=0.0, atol=1e-12)
