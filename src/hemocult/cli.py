@@ -37,7 +37,7 @@ FOLDS_SEED_OFFSET = 3_000_017
 
 SPLIT_MAGIC = "#hemocult-split v1"
 
-# preprocess outputs; train records their sha256 and evaluate checks it
+# preprocess outputs; train lists their sha256 in manifest.txt and evaluate checks it
 PREP_FILES = ("tensors.bin", "split.tsv", "stats.tsv")
 
 # --quick settings, keyed by CohortConfig/HyperParams field
@@ -103,16 +103,12 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _prep_digests(prep_dir: Path):
-    """config.txt entries: the sha256 of each prep file, keyed by its name."""
-    return {f"prep_sha256.{name}": _sha256(prep_dir / name) for name in PREP_FILES}
-
-
-def _write_manifest(run_dir: Path, names):
-    """The sha256 of each named run file, in name order; other files in run_dir go unlisted."""
+def _write_manifest(run_dir: Path, names, prep_digests):
+    """sha256 of the named run files, then of the prep/ files; other run files go unlisted."""
+    digests = {name: _sha256(run_dir / name) for name in names} | prep_digests
     with open(run_dir / "manifest.txt", "w", encoding="utf-8") as fh:
-        for name in sorted(names):
-            fh.write(f"{_sha256(run_dir / name)}  {name}\n")
+        for name in sorted(digests):
+            fh.write(f"{digests[name]}  {name}\n")
 
 
 def _configured(cls, args):
@@ -147,10 +143,13 @@ def _check_flags(args):
 def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: float) -> str:
     """Split first, fit stats on the training side only, tensorize everything."""
     ids = [series.admission_id for series in cohort]
+    unsafe = next(filter(re.compile(r"[\t\r\n]").search, ids), None)  # split.tsv separators
+    if unsafe is not None:
+        raise FormatError(f"admission id {unsafe!r} holds a tab or line break, "
+                          "which split.tsv cannot hold")
     labels = [series.label for series in cohort]
     train_ids, test_ids = stratified_split(ids, labels, test_fraction,
                                            seed=master_seed + SPLIT_SEED_OFFSET)
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once the split is accepted
     train_set = set(train_ids)
     filtered = []
     removed_total = 0
@@ -161,6 +160,7 @@ def _preprocess_cohort(cohort, out_dir: Path, master_seed: int, test_fraction: f
     stats = fit_normalizer([s for s in filtered if s.admission_id in train_set])
     tensors = [build_tensor(series, stats) for series in filtered]
     partitions = ["train" if aid in train_set else "test" for aid in ids]
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now, so a refusal leaves no out_dir
     write_split(out_dir / "split.tsv", ids, partitions)
     write_stats(stats, out_dir / "stats.tsv")
     write_tensors(tensors, out_dir / "tensors.bin")
@@ -190,14 +190,13 @@ def _write_record(path, mapping):
             fh.write(f"{key}={value!r}\n" if isinstance(value, float) else f"{key}={value}\n")
 
 
-def _write_run_config(run_dir: Path, prep_dir: Path, args, cells, hyper: HyperParams):
+def _write_run_config(run_dir: Path, args, cells, hyper: HyperParams):
     """What train decided; seed= is the master seed, and the other stages record their own."""
     _write_record(run_dir / "config.txt", {
         "folds_seed": args.seed + FOLDS_SEED_OFFSET,
         "cells": ";".join(f"{c.hidden_size}x{c.learning_rate!r}" for c in cells),
         "folds": args.folds,
         **asdict(hyper),
-        **_prep_digests(prep_dir),
     })
 
 
@@ -210,6 +209,8 @@ def _write_cv_table(run_dir: Path, rows):
 
 def _train(prep_dir: Path, run_dir: Path, args, cells) -> str:
     """Train every cell's folds once; the winning cell's fold models are the ensemble."""
+    # hashed just before they are read, so the manifest vouches for what training saw
+    prep_digests = {f"prep/{name}": _sha256(prep_dir / name) for name in PREP_FILES}
     train_tensors = _load_partitioned_tensors(prep_dir)["train"]
     ids = [t.admission_id for t in train_tensors]
     labels = [t.label for t in train_tensors]
@@ -220,12 +221,12 @@ def _train(prep_dir: Path, run_dir: Path, args, cells) -> str:
     run_dir.mkdir(parents=True, exist_ok=True)
     for stale in run_dir.glob("ensemble_fold*.ckpt"):
         stale.unlink()
-    _write_run_config(run_dir, prep_dir, args, cells, best)
+    _write_run_config(run_dir, args, cells, best)
     _write_cv_table(run_dir, result.rows)
     checkpoints = [f"ensemble_fold{fold}.ckpt" for fold in range(len(result.results))]
     for name, r in zip(checkpoints, result.results):
         save_params(r.params, run_dir / name)
-    _write_manifest(run_dir, ["config.txt", "cv_table.csv", *checkpoints])
+    _write_manifest(run_dir, ["config.txt", "cv_table.csv", *checkpoints], prep_digests)
     return (f"hidden={best.hidden_size} lr={best.learning_rate!r} "
             f"cv_pr_auc={result.cv_mean!r} folds={args.folds}")
 
@@ -241,50 +242,34 @@ def _read_manifest(run_dir: Path):
     return listed
 
 
-def _read_run_config(run_dir: Path):
-    """key -> value as written to config.txt."""
-    with open(run_dir / "config.txt", "r", encoding="utf-8", errors="replace") as fh:
-        return dict(line.rstrip("\n").partition("=")[::2] for line in fh)
-
-
-def _check_listed(run_dir: Path, listed, name):
-    if listed.get(name) != _sha256(run_dir / name):
-        raise IntegrityError(f"{run_dir}: {name} does not match manifest.txt")
-
-
 def _load_ensemble(run_dir: Path, prep_dir: Path):
     """Folds 0..k-1 of the run, trained on the files in prep_dir.
 
-    config.txt and each checkpoint must match their manifest.txt digests;
-    config.txt is checked before it is parsed.
+    k is the number of checkpoints present, and manifest.txt must list exactly
+    those. config.txt, cv_table.csv, each checkpoint and each prep file must
+    match their manifest.txt digests. Only names built here are hashed, and
+    config.txt is never parsed.
     """
     found = {p.name for p in run_dir.glob("ensemble_fold*.ckpt")}
     if not found:
         raise IntegrityError(f"{run_dir}: no ensemble checkpoints found")
+    names = [f"ensemble_fold{fold}.ckpt" for fold in range(len(found))]
     try:
         listed = _read_manifest(run_dir)
-        _check_listed(run_dir, listed, "config.txt")
-        config = _read_run_config(run_dir)
+        if found != set(names) or found != {n for n in listed if n.startswith("ensemble_fold")}:
+            raise IntegrityError(f"{run_dir}: checkpoints {sorted(found)} do not match manifest.txt")
+        for name in ["config.txt", "cv_table.csv", *names]:
+            if listed.get(name) != _sha256(run_dir / name):
+                raise IntegrityError(f"{run_dir}: {name} does not match manifest.txt")
     except FileNotFoundError as exc:
         raise IntegrityError(f"{run_dir}: {Path(exc.filename).name} is missing") from None
-    if not config.get("folds", "").isdecimal():
-        raise IntegrityError(f"{run_dir}/config.txt: no folds= entry")
-    k = int(config["folds"])
-    # k comes from a file, so no name list is built before the count agrees
-    names = [f"ensemble_fold{fold}.ckpt" for fold in range(k)] if len(found) == k else []
-    if found != set(names):
-        raise IntegrityError(
-            f"{run_dir}: checkpoints {sorted(found)} do not match folds=0..{k - 1} in config.txt")
-    for name in names:
-        _check_listed(run_dir, listed, name)
+    for name in PREP_FILES:
+        if listed.get(f"prep/{name}") != _sha256(prep_dir / name):
+            raise IntegrityError(f"{prep_dir / name} is not the file {run_dir} was trained on "
+                                 "(sha256 differs from manifest.txt)")
     members = [load_params(run_dir / name) for name in names]
     if len({m.hidden_size for m in members}) != 1:
         raise IntegrityError(f"{run_dir}: ensemble members disagree on hidden size")
-    for key, digest in _prep_digests(prep_dir).items():
-        if config.get(key) != digest:
-            raise IntegrityError(
-                f"{prep_dir / key.partition('.')[2]} is not the file {run_dir} was trained on "
-                f"(sha256 differs from {key} in config.txt)")
     return members
 
 
@@ -363,10 +348,9 @@ def cmd_pipeline(args) -> int:
     cells = _grid_cells_from(args, _configured(HyperParams, args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cohort = generate_cohort(config)
-    write_cohort(cohort, out / "cohort.bin")
-    _preprocess_cohort(cohort, out / "prep", args.seed, args.test_fraction)
-    del cohort
+    write_cohort(generate_cohort(config), out / "cohort.bin")
+    _preprocess_cohort(read_cohort(out / "cohort.bin"), out / "prep", args.seed,
+                       args.test_fraction)
     _train(out / "prep", out / "run", args, cells)
     print(_evaluate(out / "prep", out / "run", out / "eval", args.seed))
     return 0

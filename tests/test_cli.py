@@ -13,9 +13,9 @@ import pytest
 
 from helpers import run_cli
 from helpers import run_inprocess as run
-from hemocult import training
+from hemocult import cli, training
 from hemocult.cli import _grid_cells_from, entrypoint
-from hemocult.cohort import read_cohort
+from hemocult.cohort import CohortConfig, generate_cohort, read_cohort, write_cohort
 from hemocult.prep import read_stats, read_tensors
 from hemocult.training import GRID_HIDDEN, GRID_LR, HyperParams
 
@@ -24,6 +24,7 @@ SUMMARY_RE = re.compile(
 
 TINY_COHORT = ["--n", "40", "--positives", "16", "--horizon", "6:18"]
 TINY_TRAIN = ["--hidden", "2", "--lr", "0.05", "--max-epochs", "2", "--folds", "4"]
+PREP_NAMES = ["prep/split.tsv", "prep/stats.tsv", "prep/tensors.bin"]
 
 
 def sha256(path):
@@ -119,6 +120,35 @@ def test_preprocess_corrupt_cohort_exits_3(workspace, tmp_path):
         assert code == 3 and err.startswith("error:") and message in err, (message, err)
 
 
+def test_failed_preprocess_leaves_no_prep_dir(tmp_path):
+    # stays of well under a second: no temperature value survives to fit its statistics
+    code, _, _ = run("generate", "--out", tmp_path / "cohort.bin", "--seed", 1, "--n", 40,
+                     "--positives", 10, "--horizon", "0.0001:0.0002")
+    assert code == 0
+    code, out, err = run("preprocess", "--cohort", tmp_path / "cohort.bin",
+                         "--out-dir", tmp_path / "prep")
+    assert (code, out) == (2, "") and "no values to fit for variable 'temperature'" in err
+    assert not (tmp_path / "prep").exists()
+    code, _, err = run("pipeline", "--out-dir", tmp_path / "pipe", "--seed", 1, "--n", 40,
+                       "--positives", 10, "--horizon", "0.0001:0.0002", *TINY_TRAIN)
+    assert code == 2 and "no values to fit for variable 'temperature'" in err
+    assert sorted(p.name for p in (tmp_path / "pipe").iterdir()) == ["cohort.bin"]
+
+
+@pytest.mark.parametrize("bad_id", ["adm\t3", "adm\r5", "adm\n7"])
+def test_preprocess_refuses_ids_split_tsv_cannot_hold(tmp_path, bad_id):
+    cohort = generate_cohort(CohortConfig(n_admissions=12, n_positive=4, seed=2,
+                                          horizon_hours=(2.0, 4.0)))
+    cohort[3].admission_id = bad_id
+    write_cohort(cohort, tmp_path / "cohort.bin")
+    code, out, err = run("preprocess", "--cohort", tmp_path / "cohort.bin",
+                         "--out-dir", tmp_path / "prep")
+    assert (code, out) == (3, "")
+    assert err == (f"error: admission id {bad_id!r} holds a tab or line break, "
+                   "which split.tsv cannot hold\n")
+    assert not (tmp_path / "prep").exists()
+
+
 def test_non_utf8_split_file_exits_3(workspace, tmp_path):
     root = workspace["root"]
     prep_copy = tmp_path / "prep"
@@ -156,13 +186,9 @@ def test_train_run_directory_contents(workspace):
     config = dict(line.split("=", 1)
                   for line in (run_dir / "config.txt").read_text().splitlines())
     assert list(config) == ["folds_seed", "cells", "folds", "hidden_size", "learning_rate",
-                            "max_epochs", "w_pos", "batch_size", "seed", "patience",
-                            "prep_sha256.tensors.bin", "prep_sha256.split.tsv",
-                            "prep_sha256.stats.tsv"]
+                            "max_epochs", "w_pos", "batch_size", "seed", "patience"]
     assert config["seed"] == "5" and config["folds"] == "4"
     assert config["hidden_size"] == "2" and config["cells"] == "2x0.05"
-    for name in ("tensors.bin", "split.tsv", "stats.tsv"):
-        assert config[f"prep_sha256.{name}"] == sha256(workspace["root"] / "prep" / name)
     match = re.fullmatch(r"hidden=2 lr=0\.05 cv_pr_auc=([0-9.e-]+) folds=4\n",
                          workspace["train_out"])
     assert match and 0.0 <= float(match.group(1)) <= 1.0
@@ -175,10 +201,10 @@ def test_manifest_hashes_are_accurate(workspace):
     for line in manifest:
         digest, name = line.split("  ")
         listed[name] = digest
-    expected = {p.name for p in run_dir.iterdir() if p.name != "manifest.txt"}
-    assert set(listed) == expected
+    run_files = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.txt")
+    assert list(listed) == run_files + PREP_NAMES  # name order puts prep/ last
     for name, digest in listed.items():
-        assert sha256(run_dir / name) == digest
+        assert sha256(workspace["root"] / name if name in PREP_NAMES else run_dir / name) == digest
 
 
 def test_train_custom_grid(workspace, tmp_path, monkeypatch):
@@ -230,7 +256,8 @@ def test_retrain_manifest_lists_only_what_train_wrote(workspace, tmp_path):
     assert run("evaluate", "--tensors", prep, "--run-dir", run_dir, "--seed", 5)[0] == 0
     assert run(*train, "--folds", 2, "--hidden", 4)[0] == 0
     listed = [line.split("  ")[1] for line in (run_dir / "manifest.txt").read_text().splitlines()]
-    assert listed == ["config.txt", "cv_table.csv", "ensemble_fold0.ckpt", "ensemble_fold1.ckpt"]
+    assert listed == ["config.txt", "cv_table.csv", "ensemble_fold0.ckpt", "ensemble_fold1.ckpt",
+                      *PREP_NAMES]
     # the earlier evaluate's files stay in the run dir, unlisted
     assert {"report.txt", "pr_curve.csv", "pr_curve.svg"} <= {p.name for p in run_dir.iterdir()}
     assert run("evaluate", "--tensors", prep, "--run-dir", run_dir, "--seed", 5)[0] == 0
@@ -484,25 +511,41 @@ def _edit_folds(run_dir):
     config.write_text(config.read_text().replace("folds=4\n", "folds=1000000000000\n"))
 
 
-def _edit_folds_and_manifest(run_dir):
-    # a matching manifest leaves only the count check between folds= and 10**12 names
-    _edit_folds(run_dir)
-    lines = (run_dir / "manifest.txt").read_text().splitlines(keepends=True)
-    digest = sha256(run_dir / "config.txt")
-    (run_dir / "manifest.txt").write_text("".join(
-        f"{digest}  config.txt\n" if line.endswith("  config.txt\n") else line
-        for line in lines))
+def _drop_manifest_lines(run_dir, unwanted):
+    manifest = run_dir / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not unwanted(line)))
+
+
+def _unlist_fold3(run_dir):
+    _drop_manifest_lines(run_dir, lambda line: line.endswith("  ensemble_fold3.ckpt\n"))
+
+
+def _drop_prep_lines(run_dir):
+    # the manifest of a run trained before manifest.txt listed the prep files
+    _drop_manifest_lines(run_dir, lambda line: "  prep/" in line)
+
+
+def _edit_cv_table(run_dir):
+    table = run_dir / "cv_table.csv"
+    table.write_text(table.read_text().replace(",0.05,0,", ",0.05,1,", 1))
+
+
+def _checkpoints_refused(*folds):
+    return f"checkpoints {[f'ensemble_fold{fold}.ckpt' for fold in folds]} do not match manifest.txt"
 
 
 @pytest.mark.parametrize("damage, message", [
-    (_drop_folds_1_and_2, "do not match folds=0..3"),
-    (_add_stale_fold4, "do not match folds=0..3"),
+    (_drop_folds_1_and_2, _checkpoints_refused(0, 3)),
+    (_add_stale_fold4, _checkpoints_refused(0, 1, 2, 3, 4)),
     (_flip_one_byte, "ensemble_fold3.ckpt does not match manifest.txt"),
     (_drop_manifest, "manifest.txt is missing"),
     (_edit_folds, "config.txt does not match manifest.txt"),
-    (_edit_folds_and_manifest, "do not match folds=0..999999999999"),
+    (_unlist_fold3, _checkpoints_refused(0, 1, 2, 3)),
+    (_edit_cv_table, "cv_table.csv does not match manifest.txt"),
+    (_drop_prep_lines, "tensors.bin is not the file"),
 ], ids=["missing_folds", "stale_fold", "flipped_byte", "no_manifest", "edited_folds",
-        "edited_folds_and_manifest"])
+        "unlisted_fold", "edited_cv_table", "no_prep_lines"])
 def test_evaluate_refuses_incomplete_or_altered_ensemble(workspace, tmp_path, damage, message):
     root = workspace["root"]
     run_copy = tmp_path / "run"
@@ -511,6 +554,29 @@ def test_evaluate_refuses_incomplete_or_altered_ensemble(workspace, tmp_path, da
     code, out, err = run("evaluate", "--tensors", root / "prep", "--run-dir", run_copy)
     assert code == 6 and out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_evaluate_refuses_prep_rewritten_while_train_searched(workspace, tmp_path, monkeypatch):
+    root, prep = workspace["root"], tmp_path / "prep"
+    shutil.copytree(root / "prep", prep)
+    grid_search = cli.grid_search
+
+    def preprocess_again(*args, **kwargs):
+        code, _, _ = run("preprocess", "--cohort", root / "cohort.bin", "--out-dir", prep,
+                         "--seed", 9)
+        assert code == 0
+        return grid_search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "grid_search", preprocess_again)
+    code, _, err = run("train", "--tensors", prep, "--run-dir", tmp_path / "run", "--seed", 5,
+                       *TINY_TRAIN)
+    assert code == 0, err
+    code, out, err = run("evaluate", "--tensors", prep, "--run-dir", tmp_path / "run",
+                         "--out-dir", tmp_path / "eval", "--seed", 5)
+    assert (code, out) == (6, "")
+    assert err == (f"error: {prep / 'tensors.bin'} is not the file {tmp_path / 'run'} was "
+                   "trained on (sha256 differs from manifest.txt)\n")
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_with_another_prep_exits_6(workspace, tmp_path):
