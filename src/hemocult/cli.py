@@ -305,6 +305,7 @@ def _evaluate(prep_dir: Path, run_dir: Path, out_dir: Path, master_seed: int) ->
 def cmd_generate(args) -> int:
     config = _configured(CohortConfig, args)
     cohort = generate_cohort(config)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_cohort(cohort, args.out)
     print(cohort_summary(cohort))
     return 0

@@ -14,14 +14,15 @@ function, the last H rows get tanh. Cell recurrences:
     o = sigma(W_o x + U_o h + b_o)      g = tanh (W_g x + U_g h + b_g)
     c = f * c_prev + i * g              h = o * tanh(c)
 
-Two entry points: score(X, p) scores one model on a (B, T, n) batch, and
-loss_and_grads runs M models with the same hidden size through the
-forward pass and BPTT in one call, model m on its own batch: inputs are
+Two entry points run the same recurrence step. score(X, p) scores one
+model on a (B, T, n) batch and keeps only the current step's state.
+loss_and_grads runs M models with the same hidden size through the forward
+pass and BPTT in one call, model m on its own batch: inputs are
 (M, B, T, n) and every recurrence GEMM is an (M, ., .) np.matmul stack,
 while the per-model reductions (weight gradients, head, loss) keep the
 shapes of a single model, so each model's results are bit-identical to a
-call on it alone. The BPTT arrays never leave that call. Initial hidden
-and cell states are zero.
+call on it alone. Only that call builds the BPTT arrays, and they never
+leave it. Initial hidden and cell states are zero.
 
 Checkpoint layout, all fields little-endian:
 
@@ -133,39 +134,43 @@ def init_params(hidden_size: int, seed) -> ModelParams:
     return ModelParams(fwd, bwd, head_w, head_b)
 
 
-def _run_direction(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray):
+def _recurrence(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray, slots=None):
     """Unroll one direction of M models over X of shape (M, B, T, n_in).
 
-    W, U and b stack the M models' weights on a leading axis. Returns the
-    gates A, cell states C, their tanh TC and hidden states Hs (zero state
-    first) that BPTT reads, each (M, T, B, .) so a model's slice is contiguous.
-    """
+    W, U and b stack the M models' weights on a leading axis. slots(t) gives
+    the (M, B, .) arrays that step t writes its gates, cell state, its tanh
+    and hidden state into. Without slots every step overwrites the same
+    arrays, as a step reads the previous state before it writes. Returns the
+    last hidden state."""
     M, B, T, n_in = X.shape
     H = U.shape[2]
     Zx = np.matmul(X.reshape(M, B * T, n_in), W.transpose(0, 2, 1))
     Zx += b[:, None, :]
     Zx = Zx.reshape(M, B, T, 4 * H)
     UT = U.transpose(0, 2, 1)
-    A = np.empty((M, T, B, 4 * H))
-    C = np.empty((M, T, B, H))
-    TC = np.empty((M, T, B, H))
-    Hs = np.zeros((M, T + 1, B, H))
-    c = np.zeros((M, B, H))
-    h = Hs[:, 0]
+    c = h = np.zeros((M, B, H))
+    state = None if slots else [np.empty((M, B, k * H)) for k in (4, 1, 1, 1)]
     for t in range(T):
         z = Zx[:, :, t, :] + np.matmul(h, UT)
-        a = A[:, t]
+        a, c_next, tc, h = slots(t) if slots else state
         a[..., :3 * H] = expit(z[..., :3 * H])
         a[..., 3 * H:] = np.tanh(z[..., 3 * H:])
-        i = a[..., :H]
-        f = a[..., H:2 * H]
-        o = a[..., 2 * H:3 * H]
-        g = a[..., 3 * H:]
-        c = f * c + i * g
-        C[:, t] = c
-        np.tanh(c, out=TC[:, t])
-        np.multiply(o, TC[:, t], out=Hs[:, t + 1])
-        h = Hs[:, t + 1]
+        i, f, o, g = a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H], a[..., 3 * H:]
+        np.add(f * c, i * g, out=c_next)
+        c = c_next
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+    return h
+
+
+def _run_direction(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray):
+    """_recurrence keeping each step's gates A, cells C, their tanh TC and hidden
+    states Hs (zero state first) for BPTT, each (M, T, B, .) so a model's slice is contiguous."""
+    M, B, T, _ = X.shape
+    H = U.shape[2]
+    A, C, TC = (np.empty((M, T, B, k * H)) for k in (4, 1, 1))
+    Hs = np.zeros((M, T + 1, B, H))
+    _recurrence(X, W, U, b, lambda t: (A[:, t], C[:, t], TC[:, t], Hs[:, t + 1]))
     return A, C, TC, Hs
 
 
@@ -206,13 +211,8 @@ def _direction_backward(X: np.ndarray, U: np.ndarray, arrays, dh_last: np.ndarra
     return grads
 
 
-def _forward(Xs, members):
-    """Score batch m of Xs (M, B, T, n_in) with members[m], all in one recurrence.
-
-    The members share one hidden size. Returns the (M, B) scores, both
-    directions' (M, B, H) last hidden states, and per direction the (input,
-    stacked U, _run_direction arrays) that _direction_backward takes.
-    """
+def _checked(Xs, members):
+    """Xs as a float (M, B, T, n_in) stack, once the members and the shapes pass."""
     for p in members:
         p.validate()
     Xs = np.asarray(Xs, dtype=float)
@@ -222,23 +222,34 @@ def _forward(Xs, members):
     H = members[0].hidden_size
     if any(p.hidden_size != H for p in members):
         raise IntegrityError("stacked models differ in hidden size")
-    directions = []
+    return Xs
+
+
+def _directions(Xs, members):
+    """Per direction, its input and the members' stacked (W, U, b): forward
+    over Xs, then backward over Xs reversed in time."""
     for X, cells in ((Xs, [p.fwd for p in members]),
                      (np.ascontiguousarray(Xs[:, :, ::-1, :]), [p.bwd for p in members])):
-        W, U, b = (np.stack([getattr(cell, name) for cell in cells]) for name in "WUb")
-        directions.append((X, U, _run_direction(X, W, U, b)))
-    hf, hb = (arrays[-1][:, -1] for _, _, arrays in directions)
-    scores = np.empty(Xs.shape[:2])
-    for m, p in enumerate(members):
-        # two separate dot products so direction swap commutes bit-exactly
-        u = hf[m] @ p.head_w[:H] + hb[m] @ p.head_w[H:] + p.head_b[0]
-        scores[m] = np.clip(expit(u), _SCORE_LO, _SCORE_HI)
-    return scores, (hf, hb), directions
+        yield (X, *(np.stack([getattr(cell, name) for cell in cells]) for name in "WUb"))
+
+
+def _head(hf: np.ndarray, hb: np.ndarray, p: ModelParams) -> np.ndarray:
+    """p's scores from the (B, H) last hidden states of its two directions."""
+    H = p.hidden_size
+    # two separate dot products so direction swap commutes bit-exactly
+    u = hf @ p.head_w[:H] + hb @ p.head_w[H:] + p.head_b[0]
+    return np.clip(expit(u), _SCORE_LO, _SCORE_HI)
 
 
 def score(X: np.ndarray, p: ModelParams) -> np.ndarray:
-    """The scores of p on a batch X of shape (B, T, n_in)."""
-    return _forward(np.asarray(X)[None], [p])[0][0]
+    """The scores of p on a batch X of shape (B, T, n_in).
+
+    Each step overwrites the last one's state, so the only array that grows
+    with both B and T is one direction's input pre-activations, (B, T, 4H).
+    """
+    Xs = _checked(np.asarray(X)[None], [p])
+    hf, hb = (_recurrence(*direction)[0] for direction in _directions(Xs, [p]))
+    return _head(hf, hb, p)
 
 
 def loss_and_grads(Xs: np.ndarray, labels: np.ndarray, members, w_pos: float):
@@ -249,7 +260,10 @@ def loss_and_grads(Xs: np.ndarray, labels: np.ndarray, members, w_pos: float):
     weighted_mse and one ModelParams of d loss / d parameter per model, in
     member order, each bit-identical to a call with that model alone.
     """
-    scores, (hf, hb), (fwd, bwd) = _forward(Xs, members)
+    Xs = _checked(Xs, members)
+    fwd, bwd = ((X, U, _run_direction(X, W, U, b)) for X, W, U, b in _directions(Xs, members))
+    hf, hb = (arrays[-1][:, -1] for _, _, arrays in (fwd, bwd))
+    scores = np.stack([_head(hf[m], hb[m], p) for m, p in enumerate(members)])
     labels = np.asarray(labels, dtype=float)
     if labels.shape != scores.shape:
         raise IntegrityError(f"labels have shape {labels.shape}, want {scores.shape}")

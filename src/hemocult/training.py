@@ -48,7 +48,9 @@ EARLY_STOP_THRESHOLD = 0.90
 # fold holds its own BPTT caches (its gate activations alone take about 74 MB
 # per direction at H=1000).
 LOCKSTEP_MAX_HIDDEN = 16
-SCORE_CHUNK = 256  # rows per lstm.score call in validation and ensemble scoring
+# Rows per lstm.score call in validation and ensemble scoring. The chunk bounds
+# score's largest array, its input pre-activations: rows * 72 * 4H * 8 bytes.
+SCORE_CHUNK = 256
 
 
 @dataclass

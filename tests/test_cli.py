@@ -76,6 +76,15 @@ def test_generate_all_negative_cohort(tmp_path):
     assert all(s.label == 0 for s in read_cohort(tmp_path / "neg.bin"))
 
 
+def test_generate_creates_missing_parents(tmp_path):
+    args = ["--seed", 5, "--n", 6, "--positives", 2, "--horizon", "2:4"]
+    nested = tmp_path / "missing" / "deeper" / "cohort.bin"
+    code, out, _ = run("generate", "--out", nested, *args)
+    assert code == 0 and out.startswith("admissions=6 positives=2")
+    run("generate", "--out", tmp_path / "flat.bin", *args)
+    assert sha256(nested) == sha256(tmp_path / "flat.bin")
+
+
 def test_preprocess_outputs(workspace):
     root = workspace["root"]
     assert workspace["pre_out"].startswith("tensors=40 train=36 test=4")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,12 +150,28 @@ def test_weighted_mse_batch_equals_sum_of_examples(seed):
     assert whole == math.fsum(parts)
 
 
-def test_backward_loss_equals_weighted_mse():
-    p, rng = noisy_params(3, 5)
-    X = rng.normal(size=(8, 72, 9))
-    y = rng.integers(0, 2, size=8).astype(float)
+@pytest.mark.parametrize("H, B", [(3, 8), (100, 160)])
+def test_backward_loss_equals_weighted_mse(H, B):
+    # exact equality: scoring and training run the same recurrence step
+    p, rng = noisy_params(H, 5)
+    X = rng.normal(size=(B, 72, 9))
+    y = rng.integers(0, 2, size=B).astype(float)
     loss, _ = one_model(X, y, p)
     assert loss == weighted_mse(score(X, p), y, 8.0, 1.0)
+
+
+def test_score_keeps_one_step_of_state():
+    B, T, H = 160, 72, 100
+    zx = 8 * B * T * 4 * H  # one direction's input pre-activations
+    p, rng = noisy_params(H, 6)
+    X = rng.normal(size=(B, T, 9))
+    tracemalloc.start()
+    try:
+        score(X, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * zx, peak / zx
 
 
 def test_backward_saturated_target_gradients_vanish():
