@@ -23,12 +23,12 @@ from . import __version__
 from .cohort import (CohortConfig, cohort_summary, generate_cohort,
                      read_cohort, write_cohort)
 from .errors import ConfigError, FormatError, HemocultError, IntegrityError
-from .lstm import load_params, save_params
+from .lstm import STACK_MAX_HIDDEN, load_params, save_params
 from .metrics import (baseline_constant, baseline_proportional, export_curve,
                       export_curve_svg, pr_curve)
 from .prep import (build_tensor, filter_outliers, fit_normalizer,
                    read_tensors, write_stats, write_tensors)
-from .training import (GRID_HIDDEN, GRID_LR, LOCKSTEP_MAX_HIDDEN, HyperParams,
+from .training import (GRID_HIDDEN, GRID_LR, HyperParams,
                        ensemble_scores, grid_search, make_folds, stratified_split)
 
 SPLIT_SEED_OFFSET = 1_000_003
@@ -383,7 +383,7 @@ def _add_train_flags(sub):
     sub.add_argument("--folds", type=int, default=10)
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker processes for a cell's folds, at most --folds; the folds of a "
-                          f"cell with at most {LOCKSTEP_MAX_HIDDEN} hidden units train in "
+                          f"cell with at most {STACK_MAX_HIDDEN} hidden units train in "
                           "lockstep within each process")
 
 

@@ -15,14 +15,16 @@ function, the last H rows get tanh. Cell recurrences:
     c = f * c_prev + i * g              h = o * tanh(c)
 
 Two entry points run the same recurrence step. score(X, p) scores one
-model on a (B, T, n) batch and keeps only the current step's state.
-loss_and_grads runs M models with the same hidden size through the forward
-pass and BPTT in one call, model m on its own batch: inputs are
-(M, B, T, n) and every recurrence GEMM is an (M, ., .) np.matmul stack,
-while the per-model reductions (weight gradients, head, loss) keep the
-shapes of a single model, so each model's results are bit-identical to a
-call on it alone. Only that call builds the BPTT arrays, and they never
-leave it. Initial hidden and cell states are zero.
+model on a (B, T, n) batch, one direction at a time, and keeps only the
+current step's state. loss_and_grads runs M models with the same hidden
+size through the forward pass and BPTT in one call, model m on its own
+batch: its 2M direction-models (forward cells over the (M, B, T, n) inputs,
+backward cells over them reversed in time) share one np.matmul stack per
+GEMM up to STACK_MAX_HIDDEN hidden units, one stack per direction above.
+The per-model reductions (weight gradients, head, loss) keep the shapes of
+a single model, so each model's results are bit-identical to a call on it
+alone. Only that call builds the BPTT arrays, and they never leave it.
+Initial hidden and cell states are zero.
 
 Checkpoint layout, all fields little-endian:
 
@@ -48,6 +50,13 @@ from .variables import N_VARIABLES
 # scores stay strictly inside (0, 1) even when the logistic saturates
 _SCORE_LO = float(np.nextafter(0.0, 1.0))
 _SCORE_HI = float(np.nextafter(1.0, 0.0))
+
+# Up to this hidden size loss_and_grads stacks both directions of its models and
+# training.train_folds trains a cell's folds in lockstep. Stacking spreads numpy's
+# fixed cost per call, which dominates only at small H: at batch 32 stacked folds
+# were neutral at H=20 and slower at H=32 and 100, stacked directions cost 5-10 %
+# at H=100, and each stacked model holds its own BPTT arrays.
+STACK_MAX_HIDDEN = 16
 
 CHECKPOINT_MAGIC = b"#hemocult-model v1\n"
 _HEADER = struct.Struct("<II")  # hidden size, block count
@@ -135,9 +144,9 @@ def init_params(hidden_size: int, seed) -> ModelParams:
 
 
 def _recurrence(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray, slots=None):
-    """Unroll one direction of M models over X of shape (M, B, T, n_in).
+    """Unroll M stacked direction-models over X of shape (M, B, T, n_in).
 
-    W, U and b stack the M models' weights on a leading axis. slots(t) gives
+    W, U and b stack their weights on a leading axis. slots(t) gives
     the (M, B, .) arrays that step t writes its gates, cell state, its tanh
     and hidden state into. Without slots every step overwrites the same
     arrays, as a step reads the previous state before it writes. Returns the
@@ -175,7 +184,7 @@ def _run_direction(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray):
 
 
 def _direction_backward(X: np.ndarray, U: np.ndarray, arrays, dh_last: np.ndarray):
-    """Exact BPTT through one direction of M models; returns (dW, dU, db) per model."""
+    """Exact BPTT through M stacked direction-models; returns (dW, dU, db) per model."""
     M, B, T, n_in = X.shape
     H = U.shape[2]
     A, C, TC, Hs = arrays
@@ -213,6 +222,8 @@ def _direction_backward(X: np.ndarray, U: np.ndarray, arrays, dh_last: np.ndarra
 
 def _checked(Xs, members):
     """Xs as a float (M, B, T, n_in) stack, once the members and the shapes pass."""
+    if not members:
+        raise IntegrityError("no models to stack")
     for p in members:
         p.validate()
     Xs = np.asarray(Xs, dtype=float)
@@ -225,12 +236,18 @@ def _checked(Xs, members):
     return Xs
 
 
-def _directions(Xs, members):
-    """Per direction, its input and the members' stacked (W, U, b): forward
-    over Xs, then backward over Xs reversed in time."""
-    for X, cells in ((Xs, [p.fwd for p in members]),
-                     (np.ascontiguousarray(Xs[:, :, ::-1, :]), [p.bwd for p in members])):
-        yield (X, *(np.stack([getattr(cell, name) for cell in cells]) for name in "WUb"))
+def _direction_stacks(Xs, members):
+    """The members' 2M direction-models, forward cells over Xs then backward cells over Xs
+    reversed in time, as (input, W, U, b) stacks: all 2M in one up to STACK_MAX_HIDDEN
+    hidden units, else one per direction, the backward one built once the forward one ran."""
+    M = len(members)
+    cells = [p.fwd for p in members] + [p.bwd for p in members]
+    size = 2 * M if members[0].hidden_size <= STACK_MAX_HIDDEN else M
+    for lo in range(0, 2 * M, size):
+        inputs = (Xs, Xs[:, :, ::-1, :])[lo // M:(lo + size) // M]
+        X = np.concatenate(inputs) if len(inputs) > 1 else np.ascontiguousarray(inputs[0])
+        yield (X, *(np.stack([getattr(cell, name) for cell in cells[lo:lo + size]])
+                    for name in "WUb"))
 
 
 def _head(hf: np.ndarray, hb: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -246,9 +263,12 @@ def score(X: np.ndarray, p: ModelParams) -> np.ndarray:
 
     Each step overwrites the last one's state, so the only array that grows
     with both B and T is one direction's input pre-activations, (B, T, 4H).
+    The weights go in as views, not copies.
     """
     Xs = _checked(np.asarray(X)[None], [p])
-    hf, hb = (_recurrence(*direction)[0] for direction in _directions(Xs, [p]))
+    hf = _recurrence(Xs, p.fwd.W[None], p.fwd.U[None], p.fwd.b[None])[0]
+    hb = _recurrence(np.ascontiguousarray(Xs[:, :, ::-1, :]), p.bwd.W[None], p.bwd.U[None],
+                     p.bwd.b[None])[0]
     return _head(hf, hb, p)
 
 
@@ -261,25 +281,29 @@ def loss_and_grads(Xs: np.ndarray, labels: np.ndarray, members, w_pos: float):
     member order, each bit-identical to a call with that model alone.
     """
     Xs = _checked(Xs, members)
-    fwd, bwd = ((X, U, _run_direction(X, W, U, b)) for X, W, U, b in _directions(Xs, members))
-    hf, hb = (arrays[-1][:, -1] for _, _, arrays in (fwd, bwd))
-    scores = np.stack([_head(hf[m], hb[m], p) for m, p in enumerate(members)])
+    stacks = [(X, U, _run_direction(X, W, U, b)) for X, W, U, b in _direction_stacks(Xs, members)]
+    M, H = len(members), members[0].hidden_size
+    # per direction-model, forward cells first: its last hidden state, (B, H)
+    h_last = [h for _, _, arrays in stacks for h in arrays[-1][:, -1]]
+    scores = np.stack([_head(h_last[m], h_last[M + m], p) for m, p in enumerate(members)])
     labels = np.asarray(labels, dtype=float)
     if labels.shape != scores.shape:
         raise IntegrityError(f"labels have shape {labels.shape}, want {scores.shape}")
-    H = members[0].hidden_size
     losses, heads = [], []
-    dhf, dhb = np.empty(hf.shape), np.empty(hb.shape)
+    dh_stacks = [np.empty(arrays[-1][:, -1].shape) for _, _, arrays in stacks]
+    dh_last = [dh for stack in dh_stacks for dh in stack]
     for m, p in enumerate(members):
         s = scores[m]
         losses.append(weighted_mse(s, labels[m], w_pos, 1.0))
         w = np.where(labels[m] == 1.0, float(w_pos), 1.0)
         r = s - labels[m]
         du = 2.0 * w * r * s * (1.0 - s)  # d loss / d pre-squash head activation
-        heads.append((np.concatenate([hf[m].T @ du, hb[m].T @ du]), np.array([du.sum()])))
-        dhf[m] = du[:, None] * p.head_w[None, :H]
-        dhb[m] = du[:, None] * p.head_w[None, H:]
-    grads = zip(_direction_backward(*fwd, dhf), _direction_backward(*bwd, dhb), heads)
+        heads.append((np.concatenate([h_last[m].T @ du, h_last[M + m].T @ du]),
+                      np.array([du.sum()])))
+        np.multiply(du[:, None], p.head_w[None, :H], out=dh_last[m])
+        np.multiply(du[:, None], p.head_w[None, H:], out=dh_last[M + m])
+    cell_grads = [g for stack, dh in zip(stacks, dh_stacks) for g in _direction_backward(*stack, dh)]
+    grads = zip(cell_grads[:M], cell_grads[M:], heads)
     return losses, [ModelParams(CellParams(*f), CellParams(*b), *head) for f, b, head in grads]
 
 

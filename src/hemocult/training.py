@@ -16,8 +16,9 @@ stacked forward and backward pass, while each keeps its own generator,
 updates, validation and stopping rules; validation and the ensemble score
 through lstm.score. Every fold model is bit-identical to training that
 fold alone, as train_one does. Stacking pays only while the per-call numpy
-overhead dominates, so it stops at LOCKSTEP_MAX_HIDDEN hidden units; above
-that the folds train one at a time. With several worker processes, each
+overhead dominates, so it stops at lstm.STACK_MAX_HIDDEN hidden units, the
+bound up to which loss_and_grads stacks a model's two directions as well;
+above it the folds train one at a time. With several worker processes, each
 takes a contiguous group of folds.
 
 A failed fold's error is raised: a divergence, which names its cell and
@@ -43,13 +44,10 @@ from .prep import SampleTensor
 GRID_HIDDEN = (10, 100, 1000)
 GRID_LR = (0.0001, 0.001, 0.01)
 EARLY_STOP_THRESHOLD = 0.90
-# Folds train in lockstep only up to this hidden size. Measured at batch 32:
-# stacking was neutral at H=20 and slower at H=32 and H=100, and each stacked
-# fold holds its own BPTT caches (its gate activations alone take about 74 MB
-# per direction at H=1000).
-LOCKSTEP_MAX_HIDDEN = 16
 # Rows per lstm.score call in validation and ensemble scoring. The chunk bounds
 # score's largest array, its input pre-activations: rows * 72 * 4H * 8 bytes.
+# It is part of the scores' bits: chunks of 1, 3 or 7 rows gave scores 1 ulp
+# off one 300-row call at H = 10, 16 and 100, while chunks of 64 and 256 matched.
 SCORE_CHUNK = 256
 
 
@@ -315,7 +313,7 @@ def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
                 jobs: int = 1) -> List[TrainResult]:
     """One model per fold, fold f validating on partition f with seed+f.
 
-    At hidden sizes up to LOCKSTEP_MAX_HIDDEN the folds of each process
+    At hidden sizes up to lstm.STACK_MAX_HIDDEN the folds of each process
     train in lockstep: with jobs > 1, each of min(jobs, k) worker processes
     takes a contiguous group of folds. Above it, every fold trains on its
     own, in worker processes when jobs > 1. Results come back in fold order
@@ -323,7 +321,7 @@ def train_folds(tensors: Sequence[SampleTensor], plan: FoldPlan, hyper: HyperPar
     turn, so the lowest failed fold's error is raised whatever jobs is.
     """
     workers = min(jobs, plan.k)
-    if hyper.hidden_size <= LOCKSTEP_MAX_HIDDEN:
+    if hyper.hidden_size <= lstm.STACK_MAX_HIDDEN:
         groups = np.array_split(np.arange(plan.k), workers)
     else:
         groups = [[fold] for fold in range(plan.k)]

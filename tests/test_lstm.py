@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import oracles
+from hemocult import lstm
 from hemocult.errors import IntegrityError
 from hemocult.lstm import (CellParams, ModelParams, _layout, _run_direction, init_params,
                            load_params, loss_and_grads, save_params, score, weighted_mse)
@@ -160,9 +161,8 @@ def test_backward_loss_equals_weighted_mse(H, B):
     assert loss == weighted_mse(score(X, p), y, 8.0, 1.0)
 
 
-def test_score_keeps_one_step_of_state():
-    B, T, H = 160, 72, 100
-    zx = 8 * B * T * 4 * H  # one direction's input pre-activations
+def score_peak_over_zx(B, H, T=72):
+    """score's tracemalloc peak over the bytes of one direction's input pre-activations."""
     p, rng = noisy_params(H, 6)
     X = rng.normal(size=(B, T, 9))
     tracemalloc.start()
@@ -171,7 +171,16 @@ def test_score_keeps_one_step_of_state():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * zx, peak / zx
+    return peak / (8 * B * T * 4 * H)
+
+
+def test_score_keeps_one_step_of_state():
+    assert score_peak_over_zx(160, 100) < 1.5
+
+
+def test_score_takes_views_of_the_weights():
+    # at H=1000 a copy of U is 32 MB, next to a Zx of 18 MB
+    assert score_peak_over_zx(8, 1000) < 1.5
 
 
 def test_backward_saturated_target_gradients_vanish():
@@ -206,7 +215,7 @@ def test_backward_batch_gradient_is_sum_over_examples():
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("H", [3, 10])
+@pytest.mark.parametrize("H", [3, 10, 17])
 def test_stacked_models_equal_single_model_calls(H):
     members = [noisy_params(H, 40 + m)[0] for m in range(3)]
     rng = np.random.default_rng(H)
@@ -222,6 +231,30 @@ def test_stacked_models_equal_single_model_calls(H):
         loss_and_grads(Xs, labels, members[:2] + [noisy_params(H + 1, 0)[0]], 8.0)
     with pytest.raises(IntegrityError, match=r"labels have shape \(2, 5\), want \(3, 5\)"):
         loss_and_grads(Xs, labels[:2], members, 8.0)
+
+
+@pytest.mark.parametrize("H", [1, 10, 16])
+def test_direction_stack_equals_one_stack_per_direction(H, monkeypatch):
+    # B = 1 and 2 are the tails of lockstep batches of 4
+    rng = np.random.default_rng(H)
+    for M in (1, 3):
+        members = [noisy_params(H, 60 + m)[0] for m in range(M)]
+        for B in (1, 2, 4, 17):
+            Xs = rng.normal(size=(M, B, 72, 9))
+            labels = (rng.random((M, B)) < 0.4).astype(float)
+            with monkeypatch.context() as patched:
+                patched.setattr(lstm, "STACK_MAX_HIDDEN", 0)
+                per_direction = loss_and_grads(Xs, labels, members, 8.0)
+            stacked = loss_and_grads(Xs, labels, members, 8.0)
+            assert stacked[0] == per_direction[0], (M, B)
+            for a, b in zip(stacked[1], per_direction[1], strict=True):
+                for (name, x), (_, y) in zip(a.named_arrays(), b.named_arrays()):
+                    assert np.array_equal(x, y), (M, B, name)
+
+
+def test_empty_model_stack_is_refused():
+    with pytest.raises(IntegrityError, match="no models to stack"):
+        loss_and_grads(np.empty((0, 4, 72, 9)), np.empty((0, 4)), [], 8.0)
 
 
 def test_gradients_match_finite_differences_spot():

@@ -328,9 +328,8 @@ def test_train_folds_starts_no_more_workers_than_folds(in_process_pool):
     tensors = make_tensors(20, 10, seed=5)
     plan = make_folds([t.admission_id for t in tensors], [t.label for t in tensors], k=5, seed=2)
     train_folds(tensors, plan, hyper, jobs=2)
-    # above LOCKSTEP_MAX_HIDDEN every fold is a task of its own
-    train_folds(tensors, plan, replace(hyper, hidden_size=training.LOCKSTEP_MAX_HIDDEN + 1),
-                jobs=2)
+    # above STACK_MAX_HIDDEN every fold is a task of its own
+    train_folds(tensors, plan, replace(hyper, hidden_size=lstm.STACK_MAX_HIDDEN + 1), jobs=2)
     assert in_process_pool == [(2, [[0, 1, 2], [3, 4]]), (2, [[0], [1], [2], [3], [4]])]
 
 
