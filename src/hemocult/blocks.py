@@ -1,4 +1,4 @@
-"""Front-to-back reader of cohort.bin, tensors.bin and the model checkpoints.
+"""Binary codec of cohort.bin, tensors.bin and the checkpoints: pack_string and BlockReader.
 
 Every length is checked against the bytes left in the file (from fstat) before anything is
 read or allocated; every error names the file and is raised as the caller's own class.
@@ -13,6 +13,12 @@ U32 = struct.Struct("<I")
 U64 = struct.Struct("<Q")
 I64 = np.dtype("<i8")
 F64 = np.dtype("<f8")
+
+
+def pack_string(text: str) -> bytes:
+    """A u32 byte length, then the UTF-8 bytes; BlockReader.unpack_string reads it back."""
+    raw = text.encode("utf-8")
+    return U32.pack(len(raw)) + raw
 
 
 class BlockReader:
@@ -38,7 +44,8 @@ class BlockReader:
     def unpack(self, layout: struct.Struct, what):
         return layout.unpack(self.raw(layout.size, what))
 
-    def text(self, n, what) -> str:
+    def unpack_string(self, length_what, what) -> str:
+        (n,) = self.unpack(U32, length_what)
         try:
             return self.raw(n, what).decode("utf-8")
         except UnicodeDecodeError:

@@ -25,7 +25,9 @@ Cohort file layout, all integers and floats little-endian:
             u64 n, n x i64 timestamps, n x f64 values
 
 Every channel is stored, empty ones included, so a read gives back exactly
-the series that were written.
+the series that were written. A channel keeps one contract (_channel_fault):
+strictly increasing timestamps and finite values. write_cohort refuses a
+cohort that breaks it with ConfigError, read_cohort a file with FormatError.
 """
 
 import math
@@ -35,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .blocks import F64, I64, U32, U64, BlockReader
+from .blocks import F64, I64, U32, U64, BlockReader, pack_string
 from .errors import ConfigError, FormatError
 from .variables import BY_NAME, VARIABLE_NAMES
 
@@ -188,53 +190,71 @@ def generate_cohort(config: CohortConfig) -> List[PatientSeries]:
     config.validate()
     rng = np.random.default_rng(config.seed)
     cohort = []
-    for idx in range(config.n_admissions):
-        label = 1 if idx < config.n_positive else 0
-        cohort.append(_generate_one(idx, label, config, rng))
+    with np.errstate(over="ignore", invalid="ignore"):  # write_cohort refuses what overflows
+        for idx in range(config.n_admissions):
+            label = 1 if idx < config.n_positive else 0
+            cohort.append(_generate_one(idx, label, config, rng))
     return cohort
+
+
+def _channel_fault(ts: np.ndarray, vals: np.ndarray) -> Optional[str]:
+    """The channel contract: strictly increasing timestamps and finite values; what breaks it."""
+    if ts.size > 1 and not np.all(ts[1:] > ts[:-1]):
+        return "timestamps not strictly increasing"
+    if not np.all(np.isfinite(vals)):
+        return "non-finite value"
+    return None
+
+
+def _stored_channel(series: PatientSeries, name):
+    """The channel as the int64 timestamps and f64 values the file stores."""
+    ts, vals = series.channels.get(name, _EMPTY_CHANNEL)
+    ts, vals = np.asarray(ts), np.asarray(vals)
+    if ts.dtype.kind not in "iu" or ts.ndim != 1 or ts.shape != vals.shape:
+        # the file stores one count for both arrays and integer seconds
+        raise ConfigError(f"{series.admission_id}/{name}: want 1-d integer "
+                          f"timestamps and as many values")
+    return np.ascontiguousarray(ts, dtype=I64), np.ascontiguousarray(vals, dtype=F64)
 
 
 def write_cohort(cohort: List[PatientSeries], path):
     """Binary columnar file; see the module docstring for the layout.
 
-    Streams one channel at a time, so the writer never holds a second
-    copy of the cohort.
+    Every channel is checked against the channel contract before the file
+    is opened, so a refusal leaves no file. Streams one channel at a time,
+    so the writer never holds a second copy of the cohort.
     """
+    for series in cohort:
+        for name in VARIABLE_NAMES:
+            fault = _channel_fault(*_stored_channel(series, name))
+            if fault:
+                raise ConfigError(f"{fault} for {series.admission_id}/{name}")
     with open(path, "wb") as fh:
         fh.write(COHORT_MAGIC)
         fh.write(U64.pack(len(cohort)))
         for series in cohort:
-            raw_id = series.admission_id.encode("utf-8")
             fpt = series.first_positive_time
-            fh.write(U32.pack(len(raw_id)))
-            fh.write(raw_id)
+            fh.write(pack_string(series.admission_id))
             fh.write(_ADMISSION.pack(series.label, fpt is not None, 0 if fpt is None else fpt))
             for name in VARIABLE_NAMES:
-                ts, vals = series.channels.get(name, _EMPTY_CHANNEL)
-                ts, vals = np.asarray(ts), np.asarray(vals)
-                if ts.dtype.kind not in "iu" or ts.ndim != 1 or ts.shape != vals.shape:
-                    # the file stores one count for both arrays and integer seconds
-                    raise ConfigError(f"{series.admission_id}/{name}: want 1-d integer "
-                                      f"timestamps and as many values")
+                ts, vals = _stored_channel(series, name)
                 fh.write(U64.pack(ts.size))
-                fh.write(np.ascontiguousarray(ts, dtype=I64))
-                fh.write(np.ascontiguousarray(vals, dtype=F64))
+                fh.write(ts)
+                fh.write(vals)
 
 
 def _read_channel(reader: BlockReader, where):
     (count,) = reader.unpack(U64, f"channel header of {where}")
     ts = reader.array(count, I64, f"channel {where}")
     vals = reader.array(count, F64, f"channel {where}")
-    if count > 1 and not np.all(ts[1:] > ts[:-1]):
-        raise reader.error(f"timestamps not strictly increasing for {where}")
-    if not np.all(np.isfinite(vals)):
-        raise reader.error(f"non-finite value for {where}")
+    fault = _channel_fault(ts, vals)
+    if fault:
+        raise reader.error(f"{fault} for {where}")
     return ts, vals
 
 
 def _read_admission(reader: BlockReader, index) -> PatientSeries:
-    (id_len,) = reader.unpack(U32, f"header of admission {index}")
-    aid = reader.text(id_len, f"id of admission {index}")
+    aid = reader.unpack_string(f"header of admission {index}", f"id of admission {index}")
     label, has_fpt, fpt = reader.unpack(_ADMISSION, f"header of {aid}")
     if label not in (0, 1):
         raise reader.error(f"label of {aid} must be 0 or 1, got {label}")

@@ -34,6 +34,9 @@ Checkpoint layout, all fields little-endian:
         u32 name length, name bytes (UTF-8)
         u32 ndim (1 or 2), ndim x u32 shape
         f64 values, row-major
+
+H fixes every block header (name, ndim, shape), so load_params checks each stored
+header against the bytes _block_headers derives from H in one comparison.
 """
 
 import math
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .blocks import F64, U32, BlockReader
+from .blocks import F64, U32, BlockReader, pack_string
 from .errors import IntegrityError
 from .variables import N_VARIABLES
 
@@ -60,7 +63,7 @@ STACK_MAX_HIDDEN = 16
 
 CHECKPOINT_MAGIC = b"#hemocult-model v1\n"
 _HEADER = struct.Struct("<II")  # hidden size, block count
-_SHAPES = {1: struct.Struct("<I"), 2: struct.Struct("<II")}  # block shape by ndim
+_MAX_HIDDEN = 2 ** 30 - 1  # 4H must fit a u32 shape field
 _BLOCK_NAMES = ("fwd_W", "fwd_U", "fwd_b", "bwd_W", "bwd_U", "bwd_b", "head_w", "head_b")
 
 
@@ -68,6 +71,12 @@ def _layout(H: int):
     """(name, shape) of the eight blocks in checkpoint order, for hidden size H."""
     cell = ((4 * H, N_VARIABLES), (4 * H, H), (4 * H,))
     return tuple(zip(_BLOCK_NAMES, cell + cell + ((2 * H,), (1,))))
+
+
+def _block_headers(H: int):
+    """(name, shape, stored name + ndim + shape bytes) of the eight blocks for hidden size H."""
+    return [(name, shape, pack_string(name) + U32.pack(len(shape))
+             + struct.pack(f"<{len(shape)}I", *shape)) for name, shape in _layout(H)]
 
 
 @dataclass
@@ -331,10 +340,8 @@ def save_params(p: ModelParams, path):
     """Write a checkpoint; read-back is bit-identical."""
     p.validate()
     chunks = [CHECKPOINT_MAGIC, _HEADER.pack(p.hidden_size, len(_BLOCK_NAMES))]
-    for name, arr in p.named_arrays():
-        raw = name.encode("utf-8")
-        chunks += [U32.pack(len(raw)), raw, U32.pack(arr.ndim), _SHAPES[arr.ndim].pack(*arr.shape),
-                   np.ascontiguousarray(arr, dtype=F64).tobytes()]
+    for (_, arr), (_, _, header) in zip(p.named_arrays(), _block_headers(p.hidden_size)):
+        chunks += [header, np.ascontiguousarray(arr, dtype=F64).tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -346,25 +353,15 @@ def load_params(path) -> ModelParams:
         reader = BlockReader(fh, path, IntegrityError)
         reader.magic(CHECKPOINT_MAGIC, "checkpoint magic")
         hidden, nblocks = reader.unpack(_HEADER, "checkpoint header")
-        if hidden < 1:  # _layout(0) would accept eight empty blocks
-            raise reader.error(f"hidden size {hidden} in the header, want >= 1")
+        if not 1 <= hidden <= _MAX_HIDDEN:  # _layout(0) would accept eight empty blocks
+            raise reader.error(f"hidden size {hidden} in the header, want >= 1, <= {_MAX_HIDDEN}")
         if nblocks != len(_BLOCK_NAMES):
             raise reader.error(f"expected {len(_BLOCK_NAMES)} blocks, found {nblocks}")
-        for expected, want in _layout(hidden):
-            (name_len,) = reader.unpack(U32, f"header of block {expected!r}")
-            name = reader.raw(name_len, f"name of block {expected!r}")
-            if name != expected.encode("utf-8"):
-                raise reader.error(f"block {name!r} where {expected!r} expected")
-            (ndim,) = reader.unpack(U32, f"ndim of block {expected!r}")
-            if ndim != len(want):
-                raise reader.error(f"block {expected!r} has {ndim} dimensions, want {len(want)}")
-            shape = reader.unpack(_SHAPES[ndim], f"shape of block {expected!r}")
-            if shape != want:
-                raise reader.error(f"block {expected!r} has shape {shape}, "
-                                   f"want {want} for hidden={hidden}")
-            values = reader.array(math.prod(shape), F64, f"block {expected}")
+        for name, shape, header in _block_headers(hidden):
+            reader.magic(header, f"header of block {name!r} for hidden={hidden}")
+            values = reader.array(math.prod(shape), F64, f"block {name}")
             if not np.isfinite(values).all():
-                raise reader.error(f"block {expected!r} has a non-finite value")
+                raise reader.error(f"block {name!r} has a non-finite value")
             arrays.append(values.reshape(shape))
         reader.finish("the last block")
     return ModelParams(CellParams(*arrays[:3]), CellParams(*arrays[3:6]), *arrays[6:])

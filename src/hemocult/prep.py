@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .blocks import F64, U32, BlockReader
+from .blocks import F64, BlockReader, pack_string
 from .cohort import PatientSeries
 from .errors import ConfigError, FormatError, IntegrityError
 from .variables import (BIN_SECONDS, BY_NAME, N_BINS, N_VARIABLES,
@@ -86,7 +86,7 @@ def filter_outliers(series: PatientSeries) -> Tuple[PatientSeries, int]:
 
 
 def fit_normalizer(training_series: List[PatientSeries]) -> NormStats:
-    """Mean and population std of all surviving raw values, per variable."""
+    """Mean and population std of all surviving raw values, per variable; both must be finite."""
     avg = np.zeros(N_VARIABLES)
     std = np.zeros(N_VARIABLES)
     for spec in VARIABLES:
@@ -95,8 +95,12 @@ def fit_normalizer(training_series: List[PatientSeries]) -> NormStats:
         if sum(arr.size for arr in pieces) == 0:
             raise ConfigError(f"no values to fit for variable {spec.name!r}")
         values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        avg[spec.column_index] = values.mean()
-        std[spec.column_index] = values.std()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            fit = values.mean(), values.std()
+        if not np.isfinite(fit).all():
+            raise ConfigError(f"variable {spec.name!r} has values too large to normalize: "
+                              f"avg {float(fit[0])!r}, std {float(fit[1])!r}")
+        avg[spec.column_index], std[spec.column_index] = fit
     return NormStats(avg=avg, std=std)
 
 
@@ -215,9 +219,7 @@ def write_tensors(tensors: List[SampleTensor], path):
         fh.write(TENSOR_MAGIC)
         for tensor in tensors:
             tensor.validate()
-            raw_id = tensor.admission_id.encode("utf-8")
-            fh.write(U32.pack(len(raw_id)))
-            fh.write(raw_id)
+            fh.write(pack_string(tensor.admission_id))
             fh.write(_LABEL.pack(tensor.label))
             fh.write(np.ascontiguousarray(tensor.values, dtype=F64).tobytes())
 
@@ -229,8 +231,7 @@ def read_tensors(path) -> List[SampleTensor]:
         reader = BlockReader(fh, path, IntegrityError)
         reader.magic(TENSOR_MAGIC, "tensor cache magic")
         while reader.left:
-            (id_len,) = reader.unpack(U32, "record header")
-            admission_id = reader.text(id_len, "admission id")
+            admission_id = reader.unpack_string("record header", "admission id")
             if admission_id in ids:
                 raise reader.error(f"admission id {admission_id} appears twice")
             ids.add(admission_id)

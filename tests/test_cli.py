@@ -85,6 +85,31 @@ def test_generate_creates_missing_parents(tmp_path):
     assert sha256(nested) == sha256(tmp_path / "flat.bin")
 
 
+def test_generate_refuses_a_cohort_its_reader_would_refuse(tmp_path):
+    # a drift of 1e308 overflows to non-finite values, which cohort.bin cannot hold
+    out = tmp_path / "cohort.bin"
+    args = ["generate", "--out", out, "--n", 8, "--positives", 2, "--seed", 1,
+            "--signal-strength", "1e308"]
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: non-finite value for adm00000/temperature\n"  # no numpy warning
+    assert not out.exists()
+    out.write_bytes(b"kept")
+    assert run(*args)[0] == 2
+    assert out.read_bytes() == b"kept"
+
+
+def test_preprocess_refuses_statistics_past_the_float_range(tmp_path):
+    code, _, _ = run("generate", "--out", tmp_path / "cohort.bin", "--n", 20, "--positives", 5,
+                     "--signal-strength", "1e300")
+    assert code == 0
+    code, out, err = run("preprocess", "--cohort", tmp_path / "cohort.bin",
+                         "--out-dir", tmp_path / "prep", "--test-fraction", 0.2)
+    assert (code, out) == (2, "")
+    assert "variable 'thrombocytes' has values too large to normalize: avg " in err
+    assert not (tmp_path / "prep").exists()
+
+
 def test_preprocess_outputs(workspace):
     root = workspace["root"]
     assert workspace["pre_out"].startswith("tensors=40 train=36 test=4")

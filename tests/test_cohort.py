@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hemocult.cohort import (COHORT_MAGIC, CohortConfig, PatientSeries,
                              cohort_summary, generate_cohort, read_cohort,
@@ -116,10 +120,44 @@ def test_single_value_writes_single_measurement(tmp_path):
 
 
 def test_write_cohort_rejects_misshapen_channels(tmp_path):
-    for ts, vals in (([10, 20], [1.0]), ([10.5], [1.0]), ([[10]], [[1.0]])):
+    # the last four break the channel contract that read_cohort checks too
+    for ts, vals in (([10, 20], [1.0]), ([10.5], [1.0]), ([[10]], [[1.0]]),
+                     ([10, 10], [1.0, 2.0]), ([20, 10], [1.0, 2.0]),
+                     ([10, 20], [1.0, np.inf]), ([10], [np.nan])):
         series = PatientSeries("a", 0, None, {"crp": (np.array(ts), np.array(vals))})
         with pytest.raises(ConfigError, match="a/crp"):
             write_cohort([series], tmp_path / "bad.bin")
+        assert not (tmp_path / "bad.bin").exists()
+
+
+@st.composite
+def any_channels(draw):
+    """Up to three channels of any int64 timestamps, sorted or not, and any floats."""
+    channels = {}
+    for name in draw(st.lists(st.sampled_from(VARIABLE_NAMES), unique=True, max_size=3)):
+        ts = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=5))
+        if draw(st.booleans()):
+            ts = sorted(set(ts))
+        vals = draw(st.lists(st.floats(), min_size=len(ts), max_size=len(ts)))
+        channels[name] = (np.array(ts, dtype=np.int64), np.array(vals, dtype=float))
+    return channels
+
+
+@settings(max_examples=200, deadline=None)
+@given(channels=any_channels())
+def test_written_cohort_reads_back_or_is_refused_unwritten(channels):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.bin"
+        try:
+            write_cohort([PatientSeries("a", 0, None, channels)], path)
+        except ConfigError:
+            assert not path.exists()
+            return
+        (back,) = read_cohort(path)
+    for name in VARIABLE_NAMES:
+        ts, vals = channels.get(name, (np.empty(0, dtype=np.int64), np.empty(0)))
+        assert np.array_equal(back.channels[name][0], ts), name
+        assert back.channels[name][1].tobytes() == vals.tobytes(), name
 
 
 def encoded(tmp_path, *series):
@@ -143,6 +181,17 @@ def reject(tmp_path, body, match=None):
     path.write_bytes(body)
     with pytest.raises(FormatError, match=match):
         read_cohort(path)
+
+
+def past_the_writer(tmp_path, name, ts, vals):
+    """A file whose channel `name` of admission a holds ts and vals, which write_cohort
+    refuses: a valid file of the same size with that channel's bytes swapped in."""
+    stand_in = (list(range(7_000_001, 7_000_001 + len(ts))), [0.5 + k for k in range(len(ts))])
+    good = encoded(tmp_path, one(**{name: stand_in}))
+    raw = [np.array(stand_in[0], dtype="<i8").tobytes() + np.array(stand_in[1], dtype="<f8").tobytes(),
+           np.array(ts, dtype="<i8").tobytes() + np.array(vals, dtype="<f8").tobytes()]
+    assert good.count(raw[0]) == 1
+    return good.replace(*raw)
 
 
 def test_read_cohort_rejects_corrupt_files(tmp_path):
@@ -172,13 +221,13 @@ def test_read_cohort_rejects_corrupt_files(tmp_path):
     reject(tmp_path, patched(good, first + 6, b"\x02"), match="flag of a must be 0 or 1")
     reject(tmp_path, encoded(tmp_path, one(label=1)), match="positive admission a lacks")
     reject(tmp_path, encoded(tmp_path, one(fpt=500)), match="negative admission a carries")
-    reject(tmp_path, encoded(tmp_path, one(sofa=([10, 10], [1.0, 2.0]))),
+    reject(tmp_path, past_the_writer(tmp_path, "sofa", [10, 10], [1.0, 2.0]),
            match="not strictly increasing for a/sofa")
-    reject(tmp_path, encoded(tmp_path, one(sofa=([20, 10], [1.0, 2.0]))),
+    reject(tmp_path, past_the_writer(tmp_path, "sofa", [20, 10], [1.0, 2.0]),
            match="not strictly increasing for a/sofa")
-    reject(tmp_path, encoded(tmp_path, one(crp=([10, 20], [1.0, np.inf]))),
+    reject(tmp_path, past_the_writer(tmp_path, "crp", [10, 20], [1.0, np.inf]),
            match="non-finite value for a/crp")
-    reject(tmp_path, encoded(tmp_path, one(temperature=([10], [np.nan]))),
+    reject(tmp_path, past_the_writer(tmp_path, "temperature", [10], [np.nan]),
            match="non-finite value for a/temperature")
     reject(tmp_path, encoded(tmp_path, one("b"), one("a"), one("b")),
            match="admission id b appears twice")

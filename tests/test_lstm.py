@@ -336,7 +336,7 @@ def test_checkpoint_corruption_detected(tmp_path):
 
     short = tmp_path / "short.ckpt"
     short.write_bytes(blob[:-9])
-    with pytest.raises(IntegrityError, match="truncated shape of block 'head_b'"):
+    with pytest.raises(IntegrityError, match="bad header of block 'head_b'"):
         load_params(short)
 
     trailing = tmp_path / "trailing.ckpt"
@@ -347,7 +347,7 @@ def test_checkpoint_corruption_detected(tmp_path):
     magic_len = blob.index(b"\n") + 1
     lied = tmp_path / "lied.ckpt"
     lied.write_bytes(blob[:magic_len] + struct.pack("<I", 3) + blob[magic_len + 4:])
-    with pytest.raises(IntegrityError, match="block 'fwd_W' has shape"):
+    with pytest.raises(IntegrityError, match="bad header of block 'fwd_W' for hidden=3"):
         load_params(lied)
     # hidden size 0, with blocks of the shapes it implies: all empty but head_b
     hollow = tmp_path / "hollow.ckpt"
@@ -358,6 +358,12 @@ def test_checkpoint_corruption_detected(tmp_path):
     with pytest.raises(IntegrityError, match="hidden size 0 in the header, want >= 1"):
         load_params(hollow)
 
+    # 4H would not fit the u32 shape field of a block header
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(blob[:magic_len] + struct.pack("<I", 2 ** 30) + blob[magic_len + 4:])
+    with pytest.raises(IntegrityError, match="hidden size 1073741824 in the header, want >= 1"):
+        load_params(huge)
+
     name_at = blob.index(b"fwd_U")
     non_utf8 = tmp_path / "name.ckpt"
     non_utf8.write_bytes(blob[:name_at] + b"\xff" + blob[name_at + 1:])
@@ -367,7 +373,7 @@ def test_checkpoint_corruption_detected(tmp_path):
     ndim_at = blob.index(b"fwd_b") + len(b"fwd_b")
     too_many_dims = tmp_path / "ndim.ckpt"
     too_many_dims.write_bytes(blob[:ndim_at] + struct.pack("<I", 70) + blob[ndim_at + 4:])
-    with pytest.raises(IntegrityError, match="dimensions"):
+    with pytest.raises(IntegrityError, match="bad header of block 'fwd_b'"):
         load_params(too_many_dims)
 
     at = blob.index(p.bwd.U.tobytes())

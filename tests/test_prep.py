@@ -105,6 +105,13 @@ def test_fit_normalizer_requires_values():
         fit_normalizer([with_crp(([], []))])
 
 
+def test_fit_normalizer_refuses_statistics_past_the_float_range():
+    # the mean of the first overflows; the mean of the second is 0 but its variance overflows
+    for vals in ([1.5e308, 1.5e308], [1e308, -1e308]):
+        with pytest.raises(ConfigError, match="variable 'crp' has values too large to normalize"):
+            fit_normalizer([with_crp(([1, 2], vals))])
+
+
 def test_normalize_examples():
     assert normalize(36.8, 36.8, 0.5) == 0.0
     assert normalize(2.75, 2.0, 0.25) == 1.0  # avg + 3 std
