@@ -106,8 +106,9 @@ class CohortConfig:
         if not 0 <= self.signal_strength < math.inf:
             raise ConfigError(f"signal_strength must be finite and >= 0, got {self.signal_strength}")
         lo, hi = self.horizon_hours
-        if not 0 < lo <= hi:
-            raise ConfigError(f"horizon_hours must satisfy 0 < lo <= hi, got {self.horizon_hours}")
+        if not 0 < lo <= hi < math.inf:
+            raise ConfigError(
+                f"horizon_hours must be finite and satisfy 0 < lo <= hi, got {self.horizon_hours}")
 
 
 @dataclass
@@ -214,6 +215,9 @@ def _stored_channel(series: PatientSeries, name):
         # the file stores one count for both arrays and integer seconds
         raise ConfigError(f"{series.admission_id}/{name}: want 1-d integer "
                           f"timestamps and as many values")
+    if ts.dtype.kind == "u" and ts.size and ts.max() > np.iinfo(I64).max:
+        raise ConfigError(f"{series.admission_id}/{name}: timestamp {ts.max()} is past the "
+                          f"int64 range")
     return np.ascontiguousarray(ts, dtype=I64), np.ascontiguousarray(vals, dtype=F64)
 
 

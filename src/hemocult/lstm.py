@@ -14,17 +14,18 @@ function, the last H rows get tanh. Cell recurrences:
     o = sigma(W_o x + U_o h + b_o)      g = tanh (W_g x + U_g h + b_g)
     c = f * c_prev + i * g              h = o * tanh(c)
 
-Two entry points run the same recurrence step. score(X, p) scores one
-model on a (B, T, n) batch, one direction at a time, and keeps only the
-current step's state. loss_and_grads runs M models with the same hidden
-size through the forward pass and BPTT in one call, model m on its own
-batch: its 2M direction-models (forward cells over the (M, B, T, n) inputs,
-backward cells over them reversed in time) share one np.matmul stack per
-GEMM up to STACK_MAX_HIDDEN hidden units, one stack per direction above.
-The per-model reductions (weight gradients, head, loss) keep the shapes of
-a single model, so each model's results are bit-identical to a call on it
-alone. Only that call builds the BPTT arrays, and they never leave it.
-Initial hidden and cell states are zero.
+Two entry points run the same recurrence step over the (input, W, U, b)
+stacks of one builder, _direction_stacks, the only code that reverses a
+batch in time or picks a direction's weights. score(X, p) scores one model
+on a (B, T, n) batch, SCORE_CHUNK rows and one direction at a time, and
+keeps only the current step's state. loss_and_grads runs M models with the
+same hidden size through the forward pass and BPTT in one call, model m on
+its own batch: its 2M direction-models share one np.matmul stack per GEMM
+up to STACK_MAX_HIDDEN hidden units, one stack per direction above, and a
+stack of one model views its weights. The per-model reductions (weight
+gradients, head, loss) keep the shapes of a single model, so each model's
+results are bit-identical to a call on it alone. Only that call builds the
+BPTT arrays, and they never leave it. Initial hidden and cell states are zero.
 
 Checkpoint layout, all fields little-endian:
 
@@ -60,6 +61,10 @@ _SCORE_HI = float(np.nextafter(1.0, 0.0))
 # were neutral at H=20 and slower at H=32 and 100, stacked directions cost 5-10 %
 # at H=100, and each stacked model holds its own BPTT arrays.
 STACK_MAX_HIDDEN = 16
+# Rows per score pass. The chunk bounds score's largest array, its input pre-activations:
+# rows * T * 4H * 8 bytes. It is part of the scores' bits: chunks of 1, 3 or 7 rows gave
+# scores 1 ulp off one 300-row pass at H = 10, 16 and 100, while chunks of 64 and 256 matched.
+SCORE_CHUNK = 256
 
 CHECKPOINT_MAGIC = b"#hemocult-model v1\n"
 _HEADER = struct.Struct("<II")  # hidden size, block count
@@ -245,18 +250,20 @@ def _checked(Xs, members):
     return Xs
 
 
-def _direction_stacks(Xs, members):
+def _direction_stacks(Xs, members, both: bool):
     """The members' 2M direction-models, forward cells over Xs then backward cells over Xs
-    reversed in time, as (input, W, U, b) stacks: all 2M in one up to STACK_MAX_HIDDEN
-    hidden units, else one per direction, the backward one built once the forward one ran."""
+    reversed in time, as (input, W, U, b) stacks: all 2M in one if both, else one per
+    direction, the backward one built once the forward one ran. A stack of one model
+    views its weights."""
     M = len(members)
     cells = [p.fwd for p in members] + [p.bwd for p in members]
-    size = 2 * M if members[0].hidden_size <= STACK_MAX_HIDDEN else M
+    size = 2 * M if both else M
     for lo in range(0, 2 * M, size):
         inputs = (Xs, Xs[:, :, ::-1, :])[lo // M:(lo + size) // M]
         X = np.concatenate(inputs) if len(inputs) > 1 else np.ascontiguousarray(inputs[0])
-        yield (X, *(np.stack([getattr(cell, name) for cell in cells[lo:lo + size]])
-                    for name in "WUb"))
+        group = cells[lo:lo + size]
+        yield (X, *(np.stack([getattr(cell, name) for cell in group]) if size > 1
+                    else getattr(group[0], name)[None] for name in "WUb"))
 
 
 def _head(hf: np.ndarray, hb: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -268,17 +275,19 @@ def _head(hf: np.ndarray, hb: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 def score(X: np.ndarray, p: ModelParams) -> np.ndarray:
-    """The scores of p on a batch X of shape (B, T, n_in).
+    """The scores of p on a batch X of shape (B, T, n_in), SCORE_CHUNK rows per pass.
 
-    Each step overwrites the last one's state, so the only array that grows
-    with both B and T is one direction's input pre-activations, (B, T, 4H).
+    Each step overwrites the last one's state, so the largest array a pass
+    makes is one direction's input pre-activations, (SCORE_CHUNK, T, 4H).
     The weights go in as views, not copies.
     """
     Xs = _checked(np.asarray(X)[None], [p])
-    hf = _recurrence(Xs, p.fwd.W[None], p.fwd.U[None], p.fwd.b[None])[0]
-    hb = _recurrence(np.ascontiguousarray(Xs[:, :, ::-1, :]), p.bwd.W[None], p.bwd.U[None],
-                     p.bwd.b[None])[0]
-    return _head(hf, hb, p)
+    scores = np.empty(Xs.shape[1])
+    for lo in range(0, len(scores), SCORE_CHUNK):
+        hf, hb = (_recurrence(*stack)[0]
+                  for stack in _direction_stacks(Xs[:, lo:lo + SCORE_CHUNK], [p], both=False))
+        scores[lo:lo + SCORE_CHUNK] = _head(hf, hb, p)
+    return scores
 
 
 def loss_and_grads(Xs: np.ndarray, labels: np.ndarray, members, w_pos: float):
@@ -290,8 +299,9 @@ def loss_and_grads(Xs: np.ndarray, labels: np.ndarray, members, w_pos: float):
     member order, each bit-identical to a call with that model alone.
     """
     Xs = _checked(Xs, members)
-    stacks = [(X, U, _run_direction(X, W, U, b)) for X, W, U, b in _direction_stacks(Xs, members)]
     M, H = len(members), members[0].hidden_size
+    stacks = [(X, U, _run_direction(X, W, U, b))
+              for X, W, U, b in _direction_stacks(Xs, members, both=H <= STACK_MAX_HIDDEN)]
     # per direction-model, forward cells first: its last hidden state, (B, H)
     h_last = [h for _, _, arrays in stacks for h in arrays[-1][:, -1]]
     scores = np.stack([_head(h_last[m], h_last[M + m], p) for m, p in enumerate(members)])

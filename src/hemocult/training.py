@@ -13,13 +13,14 @@ its per-epoch shuffles.
 The folds of a cell train in lockstep: at each batch offset, the folds
 whose batch has the same size share one lstm.loss_and_grads call, its
 stacked forward and backward pass, while each keeps its own generator,
-updates, validation and stopping rules; validation and the ensemble score
-through lstm.score. Every fold model is bit-identical to training that
-fold alone, as train_one does. Stacking pays only while the per-call numpy
-overhead dominates, so it stops at lstm.STACK_MAX_HIDDEN hidden units, the
-bound up to which loss_and_grads stacks a model's two directions as well;
-above it the folds train one at a time. With several worker processes, each
-takes a contiguous group of folds.
+updates, validation and stopping rules. Every fold model is bit-identical
+to training that fold alone, as train_one does. Stacking pays only while
+the per-call numpy overhead dominates, so it stops at
+lstm.STACK_MAX_HIDDEN hidden units, the bound up to which loss_and_grads
+stacks a model's two directions as well; above it the folds train one at
+a time. With several worker processes, each takes a contiguous group of
+folds. Validation and the ensemble pass all their rows to lstm.score,
+which bounds its own memory with lstm.SCORE_CHUNK rows per pass.
 
 A failed fold's error is raised: a divergence, which names its cell and
 fold, or an error from its validation scoring. If several folds fail, the
@@ -44,11 +45,6 @@ from .prep import SampleTensor
 GRID_HIDDEN = (10, 100, 1000)
 GRID_LR = (0.0001, 0.001, 0.01)
 EARLY_STOP_THRESHOLD = 0.90
-# Rows per lstm.score call in validation and ensemble scoring. The chunk bounds
-# score's largest array, its input pre-activations: rows * 72 * 4H * 8 bytes.
-# It is part of the scores' bits: chunks of 1, 3 or 7 rows gave scores 1 ulp
-# off one 300-row call at H = 10, 16 and 100, while chunks of 64 and 256 matched.
-SCORE_CHUNK = 256
 
 
 @dataclass
@@ -154,13 +150,6 @@ def make_folds(ids: Sequence[str], labels: Sequence[int], k: int = 10, seed: int
     return FoldPlan(folds=folds)
 
 
-def _score_matrix(params: lstm.ModelParams, X: np.ndarray) -> np.ndarray:
-    scores = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], SCORE_CHUNK):
-        scores[lo:lo + SCORE_CHUNK] = lstm.score(X[lo:lo + SCORE_CHUNK], params)
-    return scores
-
-
 def _stacked(tensors: Sequence[SampleTensor]):
     """The (N, T, n_in) values and the float labels of tensors."""
     X = np.stack([t.values for t in tensors]) if len(tensors) else None
@@ -174,7 +163,7 @@ def _val_pr_auc(X: np.ndarray, y: np.ndarray, val_rows):
         raise ConfigError("empty validation set")
     if y[val_rows].sum() == 0:
         raise ConfigError("validation set has no positive example")
-    return lambda params, epoch: pr_auc(_score_matrix(params, X[val_rows]), y[val_rows])
+    return lambda params, epoch: pr_auc(lstm.score(X[val_rows], params), y[val_rows])
 
 
 class _Fold:
@@ -368,9 +357,8 @@ def ensemble_scores(members: Sequence[lstm.ModelParams],
     """Arithmetic mean of member scores, members in fixed fold order."""
     if not members:
         raise IntegrityError("ensemble has no members")
-    X = np.stack([t.values for t in tensors])
-    stacked = np.stack([_score_matrix(m, X) for m in members])
-    return stacked.mean(axis=0)
+    X, _ = _stacked(tensors)
+    return np.stack([lstm.score(X, m) for m in members]).mean(axis=0)
 
 
 __all__ = [

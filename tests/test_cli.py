@@ -780,7 +780,10 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
     train = ["train", "--tensors", workspace["root"] / "prep", "--run-dir", tmp_path / "z"]
     evaluate = ["evaluate", "--tensors", workspace["root"] / "prep",
                 "--run-dir", workspace["root"] / "run", "--out-dir", tmp_path / "z"]
+    past_the_floats = "1:" + "9" * 400  # float() makes the upper bound inf
     for argv, message in ((generate + ["--horizon", "1.2.3:4"], "horizon"),
+                          (generate + ["--horizon", past_the_floats], "horizon_hours"),
+                          (pipeline + ["--horizon", past_the_floats], "horizon_hours"),
                           (generate + ["--signal-strength", "nan"], "signal_strength"),
                           (pipeline + ["--signal-strength", "inf"], "signal_strength"),
                           (pipeline + ["--lr", "nan"], "learning_rate"),

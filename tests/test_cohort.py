@@ -120,14 +120,20 @@ def test_single_value_writes_single_measurement(tmp_path):
 
 
 def test_write_cohort_rejects_misshapen_channels(tmp_path):
-    # the last four break the channel contract that read_cohort checks too
+    # four break the channel contract that read_cohort checks too; the last would wrap to -1
     for ts, vals in (([10, 20], [1.0]), ([10.5], [1.0]), ([[10]], [[1.0]]),
                      ([10, 10], [1.0, 2.0]), ([20, 10], [1.0, 2.0]),
-                     ([10, 20], [1.0, np.inf]), ([10], [np.nan])):
+                     ([10, 20], [1.0, np.inf]), ([10], [np.nan]),
+                     (np.array([2 ** 64 - 1], dtype=np.uint64), [1.0])):
         series = PatientSeries("a", 0, None, {"crp": (np.array(ts), np.array(vals))})
         with pytest.raises(ConfigError, match="a/crp"):
             write_cohort([series], tmp_path / "bad.bin")
         assert not (tmp_path / "bad.bin").exists()
+    small = np.array([0, 2 ** 63 - 1], dtype=np.uint64)
+    write_cohort([PatientSeries("a", 0, None, {"crp": (small, np.array([1.0, 2.0]))})],
+                 tmp_path / "ok.bin")
+    (back,) = read_cohort(tmp_path / "ok.bin")
+    assert back.channels["crp"][0].tolist() == [0, 2 ** 63 - 1]
 
 
 @st.composite

@@ -176,11 +176,26 @@ def score_peak_over_zx(B, H, T=72):
 
 def test_score_keeps_one_step_of_state():
     assert score_peak_over_zx(160, 100) < 1.5
+    # one direction at a time: a stack of both directions reads 2.6 at H=10
+    assert score_peak_over_zx(160, 10) < 1.5
 
 
 def test_score_takes_views_of_the_weights():
     # at H=1000 a copy of U is 32 MB, next to a Zx of 18 MB
     assert score_peak_over_zx(8, 1000) < 1.5
+
+
+def test_one_model_stack_takes_views_of_the_weights():
+    # at H=400 the weights are 10.5 MB; np.stack copies of W, U and b read 2.95
+    p, rng = noisy_params(400, 7)
+    X = rng.normal(size=(1, 2, 72, 9))
+    tracemalloc.start()
+    try:
+        loss_and_grads(X, np.array([[1.0, 0.0]]), [p], 8.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sum(arr.nbytes for _, arr in p.named_arrays())
 
 
 def test_backward_saturated_target_gradients_vanish():

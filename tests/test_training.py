@@ -532,7 +532,7 @@ def test_ensemble_scores_chunking_is_stable(monkeypatch):
     params = lstm.init_params(3, np.random.default_rng(1))
     tensors = make_tensors(10, 3, seed=7)
     whole = ensemble_scores([params], tensors)
-    monkeypatch.setattr(training, "SCORE_CHUNK", 3)
+    monkeypatch.setattr(lstm, "SCORE_CHUNK", 3)
     pieces = ensemble_scores([params], tensors)
     assert whole.shape == (10,)
     assert np.allclose(whole, pieces, rtol=0.0, atol=1e-12)
