@@ -443,6 +443,9 @@ def entrypoint(argv=None) -> int:
     except (HemocultError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, HemocultError) else 3
+    except MemoryError as exc:  # the configuration cannot run on this host
+        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def main():

@@ -82,6 +82,8 @@ _DRIFT: Dict[str, float] = {
 
 _RAMP_SECONDS = 24 * 3600.0
 _DAY_SECONDS = 86400.0
+# one year: bounds a cohort file per admission (about 3.8 kB per hour) and np.arange's timestamps
+MAX_HORIZON_HOURS = 8760.0
 
 
 @dataclass
@@ -106,9 +108,9 @@ class CohortConfig:
         if not 0 <= self.signal_strength < math.inf:
             raise ConfigError(f"signal_strength must be finite and >= 0, got {self.signal_strength}")
         lo, hi = self.horizon_hours
-        if not 0 < lo <= hi < math.inf:
-            raise ConfigError(
-                f"horizon_hours must be finite and satisfy 0 < lo <= hi, got {self.horizon_hours}")
+        if not 0 < lo <= hi <= MAX_HORIZON_HOURS:
+            raise ConfigError(f"horizon_hours must satisfy 0 < lo <= hi <= {MAX_HORIZON_HOURS:g} "
+                              f"(one year), got {self.horizon_hours}")
 
 
 @dataclass

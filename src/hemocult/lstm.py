@@ -16,16 +16,19 @@ function, the last H rows get tanh. Cell recurrences:
 
 Two entry points run the same recurrence step over the (input, W, U, b)
 stacks of one builder, _direction_stacks, the only code that reverses a
-batch in time or picks a direction's weights. score(X, p) scores one model
-on a (B, T, n) batch, SCORE_CHUNK rows and one direction at a time, and
-keeps only the current step's state. loss_and_grads runs M models with the
-same hidden size through the forward pass and BPTT in one call, model m on
-its own batch: its 2M direction-models share one np.matmul stack per GEMM
-up to STACK_MAX_HIDDEN hidden units, one stack per direction above, and a
-stack of one model views its weights. The per-model reductions (weight
-gradients, head, loss) keep the shapes of a single model, so each model's
-results are bit-identical to a call on it alone. Only that call builds the
-BPTT arrays, and they never leave it. Initial hidden and cell states are zero.
+batch in time or picks a direction's weights. The step projects its inputs
+_BLOCK steps at a time. score(X, p) scores one model on a (B, T, n) batch,
+SCORE_CHUNK rows and one direction at a time, and keeps only the current
+step's state: a pass's largest array is one block, (rows, _BLOCK, 4H).
+loss_and_grads runs M models with the same hidden size through the forward
+pass and BPTT in one call, model m on its own batch: its 2M direction-models
+share one np.matmul stack per GEMM up to STACK_MAX_HIDDEN hidden units, one
+stack per direction above, and a stack of one model views its weights. The
+per-model reductions (weight gradients, head, loss) keep the shapes of a
+single model, so each model's results are bit-identical to a call on it
+alone. Only that call builds the BPTT arrays, and they never leave it; BPTT
+writes each step's gate deltas over the gates it has read. Initial hidden
+and cell states are zero.
 
 Checkpoint layout, all fields little-endian:
 
@@ -61,10 +64,14 @@ _SCORE_HI = float(np.nextafter(1.0, 0.0))
 # were neutral at H=20 and slower at H=32 and 100, stacked directions cost 5-10 %
 # at H=100, and each stacked model holds its own BPTT arrays.
 STACK_MAX_HIDDEN = 16
-# Rows per score pass. The chunk bounds score's largest array, its input pre-activations:
-# rows * T * 4H * 8 bytes. It is part of the scores' bits: chunks of 1, 3 or 7 rows gave
-# scores 1 ulp off one 300-row pass at H = 10, 16 and 100, while chunks of 64 and 256 matched.
+# Rows per score pass. It pins the scores' bits, as a pass of a few rows takes other BLAS paths:
+# chunks of 1, 3 or 7 rows moved scores 1 ulp off one 300-row pass (H = 10, 16, 100), and one
+# pass over 257, 258 or 513 rows moved them 1-2 ulp off 256-row chunks (H = 17, 100).
 SCORE_CHUNK = 256
+# Steps per input projection: a pass holds (rows, _BLOCK, 4H) pre-activations, not (rows, T,
+# 4H). 8 divides T = 72 and keeps the GEMM batched over steps. Blocks of 2 to 24 steps gave
+# the bits of one all-step GEMM, but a one-row GEMM takes numpy's GEMV path, whose bits differ.
+_BLOCK = 8
 
 CHECKPOINT_MAGIC = b"#hemocult-model v1\n"
 _HEADER = struct.Struct("<II")  # hidden size, block count
@@ -160,29 +167,32 @@ def init_params(hidden_size: int, seed) -> ModelParams:
 def _recurrence(X: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray, slots=None):
     """Unroll M stacked direction-models over X of shape (M, B, T, n_in).
 
-    W, U and b stack their weights on a leading axis. slots(t) gives
-    the (M, B, .) arrays that step t writes its gates, cell state, its tanh
-    and hidden state into. Without slots every step overwrites the same
-    arrays, as a step reads the previous state before it writes. Returns the
-    last hidden state."""
+    W, U and b stack their weights on a leading axis. The inputs are projected
+    _BLOCK steps at a time. slots(t) gives the (M, B, .) arrays that step t
+    writes its gates, cell state, its tanh and hidden state into. Without slots
+    every step overwrites the same arrays, as a step reads the previous state
+    before it writes. Returns the last hidden state."""
     M, B, T, n_in = X.shape
     H = U.shape[2]
-    Zx = np.matmul(X.reshape(M, B * T, n_in), W.transpose(0, 2, 1))
-    Zx += b[:, None, :]
-    Zx = Zx.reshape(M, B, T, 4 * H)
-    UT = U.transpose(0, 2, 1)
+    WT, UT = W.transpose(0, 2, 1), U.transpose(0, 2, 1)
     c = h = np.zeros((M, B, H))
     state = None if slots else [np.empty((M, B, k * H)) for k in (4, 1, 1, 1)]
-    for t in range(T):
-        z = Zx[:, :, t, :] + np.matmul(h, UT)
-        a, c_next, tc, h = slots(t) if slots else state
-        a[..., :3 * H] = expit(z[..., :3 * H])
-        a[..., 3 * H:] = np.tanh(z[..., 3 * H:])
-        i, f, o, g = a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H], a[..., 3 * H:]
-        np.add(f * c, i * g, out=c_next)
-        c = c_next
-        np.tanh(c, out=tc)
-        np.multiply(o, tc, out=h)
+    bounds = list(range(0, T - (T > 1 and T % _BLOCK == 1), _BLOCK)) + [T]  # no one-step tail
+    for lo, hi in zip(bounds, bounds[1:]):
+        Zx = np.matmul(np.ascontiguousarray(X[:, :, lo:hi]).reshape(M, -1, n_in), WT)
+        Zx += b[:, None, :]
+        Zx = Zx.reshape(M, B, hi - lo, 4 * H)
+        for t in range(lo, hi):
+            z = Zx[:, :, t - lo, :] + np.matmul(h, UT)
+            a, c_next, tc, h = slots(t) if slots else state
+            a[..., :3 * H] = expit(z[..., :3 * H])
+            a[..., 3 * H:] = np.tanh(z[..., 3 * H:])
+            i, f, o, g = a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H], a[..., 3 * H:]
+            np.add(f * c, i * g, out=c_next)
+            c = c_next
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=h)
+        del Zx, z  # the next block's projection need not sit beside this one
     return h
 
 
@@ -202,7 +212,6 @@ def _direction_backward(X: np.ndarray, U: np.ndarray, arrays, dh_last: np.ndarra
     M, B, T, n_in = X.shape
     H = U.shape[2]
     A, C, TC, Hs = arrays
-    dZ = np.empty((M, T, B, 4 * H))
     dh = dh_last.copy()
     dc = np.zeros((M, B, H))
     for t in range(T - 1, -1, -1):
@@ -214,22 +223,24 @@ def _direction_backward(X: np.ndarray, U: np.ndarray, arrays, dh_last: np.ndarra
         tc = TC[:, t]
         do = dh * tc
         dc += dh * o * (1.0 - tc * tc)
-        dz = dZ[:, t]
-        np.multiply(dc * g, i * (1.0 - i), out=dz[..., :H])
+        # step t's deltas overwrite its gates A[:, t], which steps t - 1 .. 0 never read;
+        # every factor is taken from a gate before its slot is overwritten
+        dc_g, dc_next = dc * g, dc * f
+        np.multiply(do, o * (1.0 - o), out=o)
         if t > 0:
-            np.multiply(dc * C[:, t - 1], f * (1.0 - f), out=dz[..., H:2 * H])
+            np.multiply(dc * C[:, t - 1], f * (1.0 - f), out=f)
         else:
-            dz[..., H:2 * H] = 0.0  # c_prev is the zero initial state
-        np.multiply(do, o * (1.0 - o), out=dz[..., 2 * H:3 * H])
-        np.multiply(dc * i, 1.0 - g * g, out=dz[..., 3 * H:])
-        dh = np.matmul(dz, U)
-        dc *= f
+            f[...] = 0.0  # c_prev is the zero initial state
+        np.multiply(dc * i, 1.0 - g * g, out=g)
+        np.multiply(dc_g, i * (1.0 - i), out=i)
+        dh = np.matmul(a, U)
+        dc = dc_next
     grads = []
     for m in range(M):  # the reductions run per model, in the shapes of a single model
-        flatZ = dZ[m].transpose(1, 0, 2).reshape(B * T, 4 * H)
+        flatZ = A[m].transpose(1, 0, 2).reshape(B * T, 4 * H)
         dW = flatZ.T @ X[m].reshape(B * T, n_in)
-        dU = dZ[m].reshape(T * B, 4 * H).T @ Hs[m, :-1].reshape(T * B, H)
-        db = dZ[m].sum(axis=(0, 1))
+        dU = A[m].reshape(T * B, 4 * H).T @ Hs[m, :-1].reshape(T * B, H)
+        db = A[m].sum(axis=(0, 1))
         grads.append((dW, dU, db))
     return grads
 
@@ -253,14 +264,14 @@ def _checked(Xs, members):
 def _direction_stacks(Xs, members, both: bool):
     """The members' 2M direction-models, forward cells over Xs then backward cells over Xs
     reversed in time, as (input, W, U, b) stacks: all 2M in one if both, else one per
-    direction, the backward one built once the forward one ran. A stack of one model
-    views its weights."""
+    direction, the backward one built once the forward one ran. A stack of one direction
+    views its input and its weights."""
     M = len(members)
     cells = [p.fwd for p in members] + [p.bwd for p in members]
     size = 2 * M if both else M
     for lo in range(0, 2 * M, size):
         inputs = (Xs, Xs[:, :, ::-1, :])[lo // M:(lo + size) // M]
-        X = np.concatenate(inputs) if len(inputs) > 1 else np.ascontiguousarray(inputs[0])
+        X = np.concatenate(inputs) if len(inputs) > 1 else inputs[0]
         group = cells[lo:lo + size]
         yield (X, *(np.stack([getattr(cell, name) for cell in group]) if size > 1
                     else getattr(group[0], name)[None] for name in "WUb"))
@@ -278,8 +289,9 @@ def score(X: np.ndarray, p: ModelParams) -> np.ndarray:
     """The scores of p on a batch X of shape (B, T, n_in), SCORE_CHUNK rows per pass.
 
     Each step overwrites the last one's state, so the largest array a pass
-    makes is one direction's input pre-activations, (SCORE_CHUNK, T, 4H).
-    The weights go in as views, not copies.
+    makes is one block of one direction's input pre-activations,
+    (SCORE_CHUNK, _BLOCK, 4H). The weights and the reversed batch go in as
+    views, not copies.
     """
     Xs = _checked(np.asarray(X)[None], [p])
     scores = np.empty(Xs.shape[1])

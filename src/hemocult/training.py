@@ -19,8 +19,9 @@ the per-call numpy overhead dominates, so it stops at
 lstm.STACK_MAX_HIDDEN hidden units, the bound up to which loss_and_grads
 stacks a model's two directions as well; above it the folds train one at
 a time. With several worker processes, each takes a contiguous group of
-folds. Validation and the ensemble pass all their rows to lstm.score,
-which bounds its own memory with lstm.SCORE_CHUNK rows per pass.
+folds. Validation and the ensemble pass all their rows to lstm.score, which runs
+lstm.SCORE_CHUNK rows per pass (a chunk that pins the scores' bits), lstm._BLOCK steps of
+input pre-activations at a time.
 
 A failed fold's error is raised: a divergence, which names its cell and
 fold, or an error from its validation scoring. If several folds fail, the
@@ -58,8 +59,8 @@ class HyperParams:
     patience: int = 1
 
     def validate(self):
-        if self.hidden_size < 1:
-            raise ConfigError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        if not 1 <= self.hidden_size <= lstm._MAX_HIDDEN:  # the largest a checkpoint stores
+            raise ConfigError(f"hidden_size must be in [1, {lstm._MAX_HIDDEN}], got {self.hidden_size}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.max_epochs < 1:

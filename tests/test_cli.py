@@ -783,6 +783,7 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
     past_the_floats = "1:" + "9" * 400  # float() makes the upper bound inf
     for argv, message in ((generate + ["--horizon", "1.2.3:4"], "horizon"),
                           (generate + ["--horizon", past_the_floats], "horizon_hours"),
+                          (generate + ["--horizon", "1:100000000000000000000"], "8760"),
                           (pipeline + ["--horizon", past_the_floats], "horizon_hours"),
                           (generate + ["--signal-strength", "nan"], "signal_strength"),
                           (pipeline + ["--signal-strength", "inf"], "signal_strength"),
@@ -795,6 +796,7 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
                           (pipeline + TINY_TRAIN + ["--jobs", "0"], "jobs"),
                           (train + TINY_TRAIN + ["--jobs", "-1"], "jobs"),
                           (train + ["--seed", "-1"], "seed"),
+                          (train + ["--hidden", "2000000000"], "hidden_size must be in [1, 1073741823]"),
                           (train + ["--w-pos", "nan"], "w_pos must be > 0, got nan"),
                           (preprocess + ["--seed", "-2000000"], "seed"),
                           (evaluate + ["--seed", "-2000004"], "seed"),
@@ -807,6 +809,16 @@ def test_pipeline_rejects_bad_flags(workspace, tmp_path):
         code, _, err = run(*argv)
         assert code == 2 and message in err, (argv, err)
         assert not (tmp_path / "z").exists() and not (tmp_path / "z.bin").exists(), argv
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch):
+    def too_big(config):
+        raise MemoryError("Unable to allocate 536. GiB")
+
+    monkeypatch.setattr(cli, "generate_cohort", too_big)
+    code, _, err = run("generate", "--out", tmp_path / "c.bin", *TINY_COHORT)
+    assert code == 2
+    assert err == "error: generate ran out of memory: Unable to allocate 536. GiB\n"
 
 
 def test_pipeline_unwritable_out_dir_exits_3(tmp_path):

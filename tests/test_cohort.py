@@ -252,6 +252,7 @@ def test_config_validation():
         dict(signal_strength=float("inf")),
         dict(horizon_hours=(0.0, 10.0)),
         dict(horizon_hours=(20.0, 10.0)),
+        dict(horizon_hours=(1.0, 8760.5)),
         dict(seed=-1),
     ]
     for overrides in cases:

@@ -161,41 +161,72 @@ def test_backward_loss_equals_weighted_mse(H, B):
     assert loss == weighted_mse(score(X, p), y, 8.0, 1.0)
 
 
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def score_peak_over_zx(B, H, T=72):
     """score's tracemalloc peak over the bytes of one direction's input pre-activations."""
     p, rng = noisy_params(H, 6)
     X = rng.normal(size=(B, T, 9))
-    tracemalloc.start()
-    try:
-        score(X, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / (8 * B * T * 4 * H)
+    return traced_peak(lambda: score(X, p)) / (8 * B * T * 4 * H)
 
 
 def test_score_keeps_one_step_of_state():
-    assert score_peak_over_zx(160, 100) < 1.5
+    # one block of 8 steps: a whole (B, T, 4H) projection reads 1.06 to 1.31
+    assert score_peak_over_zx(160, 100) < 0.4
     # one direction at a time: a stack of both directions reads 2.6 at H=10
-    assert score_peak_over_zx(160, 10) < 1.5
+    assert score_peak_over_zx(160, 10) < 0.4
 
 
 def test_score_takes_views_of_the_weights():
-    # at H=1000 a copy of U is 32 MB, next to a Zx of 18 MB
-    assert score_peak_over_zx(8, 1000) < 1.5
+    # at H=1000 a copy of U is 32 MB, 1.8 times the 18 MB of a whole (8, 72, 4H) Zx
+    assert score_peak_over_zx(8, 1000) < 0.4
 
 
 def test_one_model_stack_takes_views_of_the_weights():
     # at H=400 the weights are 10.5 MB; np.stack copies of W, U and b read 2.95
     p, rng = noisy_params(400, 7)
     X = rng.normal(size=(1, 2, 72, 9))
-    tracemalloc.start()
-    try:
-        loss_and_grads(X, np.array([[1.0, 0.0]]), [p], 8.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: loss_and_grads(X, np.array([[1.0, 0.0]]), [p], 8.0))
     assert peak < 2.5 * sum(arr.nbytes for _, arr in p.named_arrays())
+
+
+def test_a_step_holds_its_bptt_arrays_and_one_gate_array_more():
+    # per direction A, C, TC and Hs; a whole-T projection and a separate dZ read 2.14 A more
+    M, B, T, H = 1, 32, 72, 100
+    A = 8 * M * T * B * 4 * H
+    bptt = A + 8 * M * (2 * T * B * H + (T + 1) * B * H)
+    p, rng = noisy_params(H, 8)
+    Xs = rng.normal(size=(M, B, T, 9))
+    labels = (rng.random((M, B)) < 0.4).astype(float)
+    peak = traced_peak(lambda: loss_and_grads(Xs, labels, [p], 8.0))
+    assert peak < 2 * bptt + 1.6 * A, (peak - 2 * bptt) / A
+
+
+@pytest.mark.parametrize("H", [3, 100])
+def test_blocked_projection_equals_one_projection(H, monkeypatch):
+    # T = 9 leaves a one-step tail, which must join the block before it
+    p, rng = noisy_params(H, 9)
+    for B in (1, 4):
+        for T in (72, 9):
+            X = rng.normal(size=(B, T, 9))
+            labels = (rng.random(B) < 0.4).astype(float)
+            blocked = score(X, p), one_model(X, labels, p)
+            with monkeypatch.context() as patched:
+                patched.setattr(lstm, "_BLOCK", T)
+                whole = score(X, p), one_model(X, labels, p)
+            assert np.array_equal(blocked[0], whole[0]), (B, T)
+            assert blocked[1][0] == whole[1][0], (B, T)
+            for (name, x), (_, y) in zip(blocked[1][1].named_arrays(), whole[1][1].named_arrays()):
+                assert np.array_equal(x, y), (B, T, name)
 
 
 def test_backward_saturated_target_gradients_vanish():
